@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <optional>
 #include <string_view>
 
 #include "bench_util.hh"
@@ -41,19 +42,30 @@ void
 BM_FifoHistoryMatch(benchmark::State &state)
 {
     const unsigned depth = static_cast<unsigned>(state.range(0));
+    // Second argument 1 probes with a propagated predicted distance, as
+    // the Fig. 4 arms do: the hardware scan then only stops on an exact
+    // distance hit, so most probes compare every entry.
+    const bool with_predicted = state.range(1) != 0;
     equality::FifoHistory fifo(depth);
     Rng rng(2);
     for (unsigned i = 0; i < depth; ++i)
         fifo.push(static_cast<u16>(rng.below(1 << 14)), i, i, true);
     u32 csn = depth;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            fifo.match(static_cast<u16>(rng.below(1 << 14)), csn,
-                       std::nullopt));
+        std::optional<u32> predicted;
+        if (with_predicted)
+            predicted = static_cast<u32>(rng.range(1, depth));
+        benchmark::DoNotOptimize(fifo.match(
+            static_cast<u16>(rng.below(1 << 14)), csn, predicted));
         ++csn;
     }
+    state.counters["compares_per_probe"] = benchmark::Counter(
+        static_cast<double>(fifo.comparisons.value()),
+        benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_FifoHistoryMatch)->Arg(32)->Arg(128)->Arg(256);
+BENCHMARK(BM_FifoHistoryMatch)
+    ->ArgNames({"depth", "predicted"})
+    ->ArgsProduct({{32, 128, 256, 1024}, {0, 1}});
 
 void
 BM_FifoHistoryPush(benchmark::State &state)

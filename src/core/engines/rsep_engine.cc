@@ -11,9 +11,12 @@ RsepEngine::RsepEngine(const equality::RsepConfig &rsep_cfg,
                        unsigned total_pregs, u64 seed)
     : SpeculationEngine("rsep"), cfg(rsep_cfg),
       distPred(cfg.distParams(), seed),
-      fifo(cfg.historyDepth, cfg.implicitHistory), ddtUnit(cfg.ddtEntries),
+      fifo(cfg.historyDepth, cfg.implicitHistory),
       hrfUnit(total_pregs, cfg.hashBits)
 {
+    // The 8K-entry table is 128 KiB; every other arm would pay for it.
+    if (cfg.useDdt)
+        ddtUnit.emplace(cfg.ddtEntries);
     registerStat("shared", &shared);
     registerStat("mispredicts", &mispredicts);
     registerStat("likelyCandidates", &likelyCandidates);
@@ -173,7 +176,7 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
         hrfUnit.write(di.destPreg == invalidPhysReg ? zeroPreg : di.destPreg,
                       hash);
         if (cfg.useDdt) {
-            if (auto m = ddtUnit.accessAndUpdate(hash, csn, di.traceIdx)) {
+            if (auto m = ddtUnit->accessAndUpdate(hash, csn, di.traceIdx)) {
                 if (m->producerValue != di.rec.result) {
                     ++ctx.st.hashFalsePositives;
                     ++hashFalsePositives;

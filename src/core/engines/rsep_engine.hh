@@ -14,6 +14,7 @@
 #ifndef RSEP_CORE_ENGINES_RSEP_ENGINE_HH
 #define RSEP_CORE_ENGINES_RSEP_ENGINE_HH
 
+#include <optional>
 #include <vector>
 
 #include "core/spec_engine.hh"
@@ -47,7 +48,6 @@ class RsepEngine : public SpeculationEngine
 
     equality::DistancePredictor &distancePredictor() { return distPred; }
     equality::FifoHistory &fifoHistory() { return fifo; }
-    equality::Ddt &ddt() { return ddtUnit; }
     equality::HashRegisterFile &hrf() { return hrfUnit; }
 
     EngineSample
@@ -71,7 +71,7 @@ class RsepEngine : public SpeculationEngine
     equality::RsepConfig cfg;
     equality::DistancePredictor distPred;
     equality::FifoHistory fifo;
-    equality::Ddt ddtUnit;
+    std::optional<equality::Ddt> ddtUnit; ///< built only with use_ddt.
     equality::HashRegisterFile hrfUnit;
 
     /** Deferred FIFO probes for this commit group (sampling policy). */

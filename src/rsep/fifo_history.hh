@@ -8,6 +8,12 @@
  * provided for the Section IV-D2 trade-off study). Committing
  * instructions compare their hash against the history; the match
  * yields the IDist used to train the distance predictor.
+ *
+ * Hardware compares the probe against every entry, newest first. The
+ * simulator reaches the same answer through a hash-chained index over
+ * the ring (DESIGN.md §15): a probe visits only the producers in its
+ * hash bucket, and `comparisons` is still the hardware's comparator
+ * count, derived from producer ordinals.
  */
 
 #ifndef RSEP_RSEP_FIFO_HISTORY_HH
@@ -95,12 +101,25 @@ class FifoHistory
         u32 csn = 0;
         u64 seq = 0;
         u64 value = 0;
-        bool producer = false;
+        u64 prodOrd = 0; ///< producers pushed before this entry.
+        u64 older = 0;   ///< link to the next-older producer in the bucket.
     };
 
-    std::vector<Entry> ring;
+    /** The entry pushed with ordinal @p ord (valid while it is live). */
+    const Entry &at(u64 ord) const { return ring[ord & ringMask]; }
+    /** Register producers among the live entries. */
+    u64 liveProducers() const;
+
+    // Links (bucket heads and Entry::older) hold a push ordinal + 1, so
+    // 0 means "none". Ordinals below pushCount - valid are dead: their
+    // slots may have been overwritten, and a walk stops at the first.
+    std::vector<Entry> ring;  ///< power-of-two slots >= depth.
+    std::vector<u64> buckets; ///< newest producer link per hash bucket.
     size_t cap;
-    size_t head = 0; ///< next write slot.
+    u64 ringMask;
+    u64 bucketMask;
+    u64 pushCount = 0; ///< ordinals handed out.
+    u64 prodCount = 0; ///< producers among them.
     size_t valid = 0;
     bool implicitAll;
 };

@@ -216,14 +216,18 @@ Server::stop()
         for (int fd : activeConnFds)
             ::shutdown(fd, SHUT_RDWR);
     }
-    std::vector<std::thread> threads;
+    std::map<u64, std::thread> threads;
     {
         std::lock_guard<std::mutex> lk(connMtx);
         threads.swap(connThreads);
     }
-    for (std::thread &t : threads)
-        if (t.joinable())
-            t.join();
+    for (auto &[id, t] : threads)
+        t.join();
+    {
+        std::lock_guard<std::mutex> lk(connMtx);
+        // Joined above; a restarted accept loop must not look them up.
+        finishedConns.clear();
+    }
 
     ::close(listenFd);
     listenFd = -1;
@@ -244,6 +248,13 @@ Server::counters() const
     return stats;
 }
 
+size_t
+Server::trackedHandlerThreads() const
+{
+    std::lock_guard<std::mutex> lk(connMtx);
+    return connThreads.size();
+}
+
 void
 Server::acceptLoop()
 {
@@ -262,13 +273,30 @@ Server::acceptLoop()
         int cfd = ::accept(listenFd, nullptr, nullptr);
         if (cfd < 0)
             continue;
-        std::lock_guard<std::mutex> lk(connMtx);
-        if (stopping.load()) {
-            ::close(cfd);
-            break;
+        // Join the handlers that have returned since the last accept,
+        // so a long-lived daemon holds one thread per open connection
+        // rather than one per connection ever accepted.
+        std::vector<std::thread> finished;
+        {
+            std::lock_guard<std::mutex> lk(connMtx);
+            if (stopping.load()) {
+                ::close(cfd);
+                break;
+            }
+            for (u64 id : finishedConns) {
+                auto it = connThreads.find(id);
+                finished.push_back(std::move(it->second));
+                connThreads.erase(it);
+            }
+            finishedConns.clear();
+            activeConnFds.insert(cfd);
+            u64 id = nextConnId++;
+            connThreads.emplace(id, std::thread([this, cfd, id] {
+                handleConnection(cfd, id);
+            }));
         }
-        activeConnFds.insert(cfd);
-        connThreads.emplace_back([this, cfd] { handleConnection(cfd); });
+        for (std::thread &t : finished)
+            t.join();
     }
 }
 
@@ -310,7 +338,7 @@ Server::sendBusy(int fd, std::mutex &write_mtx, const std::string &why)
 }
 
 void
-Server::handleConnection(int fd)
+Server::handleConnection(int fd, u64 id)
 {
     std::mutex write_mtx;
     std::string err;
@@ -384,6 +412,7 @@ Server::handleConnection(int fd)
     ::close(fd);
     std::lock_guard<std::mutex> lk(connMtx);
     activeConnFds.erase(fd);
+    finishedConns.push_back(id);
 }
 
 std::string

@@ -30,6 +30,7 @@
 #define RSEP_SERVE_SERVER_HH
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -111,11 +112,15 @@ class Server
     };
     Counters counters() const;
 
+    /** Connection handler threads started and not yet joined. */
+    size_t trackedHandlerThreads() const;
+
   private:
     struct PendingRequest;
 
     void acceptLoop();
-    void handleConnection(int fd);
+    /** Serve one connection; @p id keys its thread in connThreads. */
+    void handleConnection(int fd, u64 id);
     /** Process one Submit frame; false when the connection must close
      *  (a write to the client already failed). */
     bool handleSubmit(int fd, std::mutex &write_mtx,
@@ -144,8 +149,11 @@ class Server
     std::unique_ptr<sim::ResultCache> cache;
 
     std::thread acceptThread;
-    std::mutex connMtx;
-    std::vector<std::thread> connThreads;
+    mutable std::mutex connMtx;
+    std::map<u64, std::thread> connThreads;
+    /** Handlers that returned; the accept path joins them. */
+    std::vector<u64> finishedConns;
+    u64 nextConnId = 0;
     std::set<int> activeConnFds;
 
     std::atomic<unsigned> activeRequests{0};

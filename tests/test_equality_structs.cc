@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
+
 #include "rsep/costmodel.hh"
 #include "rsep/ddt.hh"
 #include "rsep/distance_pred.hh"
@@ -130,6 +135,188 @@ TEST(FifoHistory, StorageMatchesPaper)
     FifoHistory f(128);
     EXPECT_EQ(f.storageBits(14), 128u * 24);
     EXPECT_EQ(f.storageBits(14) / 8, 384u);
+}
+
+/**
+ * The history before it was indexed: a newest-first scan over every
+ * entry. Kept only as the reference the indexed FifoHistory must agree
+ * with, probe for probe, comparator count included.
+ */
+class LinearScanHistory
+{
+  public:
+    LinearScanHistory(unsigned depth, bool implicit_all)
+        : ring(depth), cap(depth), implicitAll(implicit_all)
+    {
+    }
+
+    void
+    clear()
+    {
+        head = 0;
+        valid = 0;
+    }
+
+    void
+    push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value)
+    {
+        if (!implicitAll && !produces_reg)
+            return;
+        ring[head] = {hash, csn & csnMask, seq, value, produces_reg};
+        head = (head + 1) % cap;
+        if (valid < cap)
+            ++valid;
+    }
+
+    std::optional<HistoryMatch>
+    match(u16 hash, u32 csn, std::optional<u32> predicted_dist)
+    {
+        std::optional<HistoryMatch> nearest;
+        for (size_t i = 0; i < valid; ++i) {
+            const Entry &e = ring[(head + cap - 1 - i) % cap];
+            if (!e.producer)
+                continue;
+            ++comparisons;
+            if (e.hash != hash)
+                continue;
+            u32 dist = csnDistance(csn & csnMask, e.csn);
+            if (dist == 0 || dist > csnMask / 2)
+                continue;
+            if (predicted_dist && dist == *predicted_dist) {
+                ++matches;
+                ++predictedDistanceMatches;
+                return HistoryMatch{dist, e.seq, e.value, true};
+            }
+            if (!nearest)
+                nearest = HistoryMatch{dist, e.seq, e.value, false};
+            else if (!predicted_dist)
+                break;
+        }
+        if (nearest)
+            ++matches;
+        return nearest;
+    }
+
+    size_t size() const { return valid; }
+
+    u64 comparisons = 0;
+    u64 matches = 0;
+    u64 predictedDistanceMatches = 0;
+
+  private:
+    struct Entry
+    {
+        u16 hash = 0;
+        u32 csn = 0;
+        u64 seq = 0;
+        u64 value = 0;
+        bool producer = false;
+    };
+
+    std::vector<Entry> ring;
+    size_t cap;
+    size_t head = 0;
+    size_t valid = 0;
+    bool implicitAll;
+};
+
+std::string
+describe(const std::optional<HistoryMatch> &m)
+{
+    if (!m)
+        return "none";
+    return "dist " + std::to_string(m->distance) + " seq " +
+           std::to_string(m->producerSeq) + " value " +
+           std::to_string(m->producerValue) +
+           (m->matchedPredicted ? " (predicted)" : "");
+}
+
+bool
+sameMatch(const std::optional<HistoryMatch> &a,
+          const std::optional<HistoryMatch> &b)
+{
+    if (a.has_value() != b.has_value())
+        return false;
+    return !a || (a->distance == b->distance &&
+                  a->producerSeq == b->producerSeq &&
+                  a->producerValue == b->producerValue &&
+                  a->matchedPredicted == b->matchedPredicted);
+}
+
+TEST(FifoHistory, IndexedMatchesLinearScanReference)
+{
+    // Seeded random push / match / clear sequences. 3-bit hashes force
+    // long bucket chains and collisions between hashes; probe CSNs
+    // around and behind the newest push produce self and wrapped
+    // distances; predicted distances are absent, arbitrary, or taken
+    // from a recent push so that exact-distance hits occur.
+    u64 probes = 0;
+    for (unsigned depth : {1u, 2u, 7u, 16u, 128u, 1024u}) {
+        for (bool implicit_all : {false, true}) {
+            for (unsigned hash_bits : {3u, 14u}) {
+                SCOPED_TRACE("depth " + std::to_string(depth) +
+                             (implicit_all ? " implicit" : " explicit") +
+                             " hash bits " + std::to_string(hash_bits));
+                FifoHistory fifo(depth, implicit_all);
+                LinearScanHistory ref(depth, implicit_all);
+                Rng rng(depth * 4 + implicit_all * 2 + hash_bits);
+                std::vector<u32> recent_csns(16, 0);
+                u32 csn = 0;
+                u64 seq = 0;
+                const unsigned steps = depth >= 1024 ? 40'000 : 100'000;
+                for (unsigned step = 0; step < steps; ++step) {
+                    u64 r = rng.below(1000);
+                    if (r < 3) {
+                        fifo.clear();
+                        ref.clear();
+                        continue;
+                    }
+                    u16 hash = static_cast<u16>(rng.below(1u << hash_bits));
+                    if (r < 500) {
+                        csn += static_cast<u32>(rng.range(1, 3));
+                        bool producer = rng.below(4) != 0;
+                        u64 value = rng.below(64);
+                        fifo.push(hash, csn, ++seq, producer, value);
+                        ref.push(hash, csn, seq, producer, value);
+                        recent_csns[seq % recent_csns.size()] = csn;
+                        ASSERT_EQ(fifo.size(), ref.size());
+                        continue;
+                    }
+                    u32 probe_csn = r < 900
+                                        ? csn + static_cast<u32>(
+                                                    rng.below(6)) - 2
+                                        : static_cast<u32>(rng.next());
+                    std::optional<u32> predicted;
+                    switch (rng.below(3)) {
+                    case 0:
+                        break;
+                    case 1:
+                        predicted = static_cast<u32>(rng.below(csnMask + 1));
+                        break;
+                    default:
+                        predicted = csnDistance(
+                            probe_csn & csnMask,
+                            recent_csns[rng.below(recent_csns.size())] &
+                                csnMask);
+                    }
+                    std::optional<HistoryMatch> got =
+                        fifo.match(hash, probe_csn, predicted);
+                    std::optional<HistoryMatch> want =
+                        ref.match(hash, probe_csn, predicted);
+                    ++probes;
+                    ASSERT_TRUE(sameMatch(got, want))
+                        << "step " << step << ": indexed " << describe(got)
+                        << ", linear scan " << describe(want);
+                    ASSERT_EQ(fifo.comparisons.value(), ref.comparisons)
+                        << "step " << step;
+                    ASSERT_EQ(fifo.matches.value(), ref.matches);
+                    ASSERT_EQ(fifo.predictedDistanceMatches.value(),
+                              ref.predictedDistanceMatches);
+                }
+            }
+        }
+    }
+    EXPECT_GT(probes, 1'000'000u);
 }
 
 TEST(Ddt, MatchAndDistance)

@@ -14,7 +14,9 @@
  *  - concurrent clients batch into the shared pool and each get
  *    exactly their own cells back;
  *  - suite-name workload overrides are rejected over the wire (the
- *    registry-determinism rule of DESIGN.md §13).
+ *    registry-determinism rule of DESIGN.md §13);
+ *  - finished connection handler threads are joined while the daemon
+ *    runs, so sequential clients do not pile threads up.
  *
  * Socket paths live directly under /tmp: sockaddr_un caps paths at
  * ~107 bytes, so deep build-tree paths are not usable here.
@@ -324,6 +326,17 @@ TEST_F(ServeTest, SuiteNameOverrideRejected)
     ASSERT_EQ(reply.type, FrameType::Error);
     EXPECT_NE(reply.payload.find("override"), std::string::npos);
     ::close(fd);
+}
+
+TEST_F(ServeTest, FinishedHandlerThreadsAreReaped)
+{
+    startServer();
+    for (int i = 0; i < 50; ++i)
+        expectServable(sock);
+    // The accept path joins handlers that returned before it ran: what
+    // is left is the last connection's and any that were still closing.
+    EXPECT_LE(server->trackedHandlerThreads(), 4u);
+    EXPECT_EQ(server->counters().requests, 50u);
 }
 
 TEST_F(ServeTest, ConcurrentClientsEachGetTheirCells)
