@@ -130,7 +130,7 @@ BM_CacheAccess(benchmark::State &state)
     Rng rng(7);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            l1.accessTags(rng.below(1 << 20) << 3, false));
+            l1.accessTags(rng.below(1 << 20) << 3));
 }
 BENCHMARK(BM_CacheAccess);
 

@@ -42,7 +42,10 @@ struct PointSpec {
 };
 
 std::mutex registryMtx;
-std::vector<PointSpec> registry;
+// Never destroyed: when one thread ends the process (rsep_fatal ->
+// exit), others may still hit fault points while static destructors
+// run, and must not read a freed vector.
+std::vector<PointSpec> &registry = *new std::vector<PointSpec>;
 
 /** splitmix64 finalizer: one well-mixed word from (seed, hit index). */
 u64

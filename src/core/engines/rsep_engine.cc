@@ -176,7 +176,8 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
         hrfUnit.write(di.destPreg == invalidPhysReg ? zeroPreg : di.destPreg,
                       hash);
         if (cfg.useDdt) {
-            if (auto m = ddtUnit->accessAndUpdate(hash, csn, di.traceIdx)) {
+            if (auto m = ddtUnit->accessAndUpdate(hash, csn, di.traceIdx,
+                                                  di.rec.result)) {
                 if (m->producerValue != di.rec.result) {
                     ++ctx.st.hashFalsePositives;
                     ++hashFalsePositives;

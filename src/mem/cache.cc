@@ -19,7 +19,7 @@ CacheLevel::CacheLevel(const CacheParams &params) : p(params)
 }
 
 bool
-CacheLevel::accessTags(Addr addr, bool is_write)
+CacheLevel::accessTags(Addr addr)
 {
     size_t s = setOf(addr);
     Addr tag = tagOf(addr);

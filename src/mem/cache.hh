@@ -45,9 +45,10 @@ class CacheLevel
 
     /**
      * Probe for line presence *and* update LRU/allocate on miss.
+     * No dirty state is modelled, so loads and stores probe alike.
      * @return true on hit.
      */
-    bool accessTags(Addr addr, bool is_write);
+    bool accessTags(Addr addr);
 
     /** Probe without modifying state (for tests/inclusive checks). */
     bool peek(Addr addr) const;

@@ -11,13 +11,13 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
 }
 
 Cycle
-MemoryHierarchy::fillFromBeyondL1(Addr addr, Cycle now, bool is_write,
+MemoryHierarchy::fillFromBeyondL1(Addr addr, Cycle now,
                                   bool run_prefetch)
 {
     // L2.
     if (auto pend = l2.pendingFill(addr, now))
         return std::max(*pend, now + p.l2.latency);
-    bool l2_hit = l2.accessTags(addr, is_write);
+    bool l2_hit = l2.accessTags(addr);
     if (run_prefetch && p.enablePrefetch) {
         if (Addr pf = l2Stream.observe(addr)) {
             // Prefetched lines are pulled through the L3 (inclusive
@@ -25,14 +25,14 @@ MemoryHierarchy::fillFromBeyondL1(Addr addr, Cycle now, bool is_write,
             if (!l2.peek(pf) && !l2.pendingFill(pf, now)) {
                 Cycle src;
                 if (l3.pendingFill(pf, now) || l3.peek(pf)) {
-                    l3.accessTags(pf, false);
+                    l3.accessTags(pf);
                     src = now + p.l3.latency;
                 } else {
-                    l3.accessTags(pf, false);
+                    l3.accessTags(pf);
                     src = ddr.access(pf, now + p.l3.latency);
                     l3.trackMiss(pf, now, src);
                 }
-                l2.accessTags(pf, false);
+                l2.accessTags(pf);
                 ++l2.prefetchFills;
                 l2.trackMiss(pf, now, src);
             }
@@ -46,7 +46,7 @@ MemoryHierarchy::fillFromBeyondL1(Addr addr, Cycle now, bool is_write,
     if (auto pend = l3.pendingFill(addr, now)) {
         fill = std::max(*pend, now + p.l3.latency);
     } else {
-        bool l3_hit = l3.accessTags(addr, is_write);
+        bool l3_hit = l3.accessTags(addr);
         if (run_prefetch && p.enablePrefetch) {
             if (Addr pf = l3Stream.observe(addr))
                 prefetchInto(l3, pf, now, ddr.minLatency());
@@ -67,7 +67,7 @@ MemoryHierarchy::prefetchInto(CacheLevel &level, Addr addr, Cycle now,
 {
     if (level.peek(addr) || level.pendingFill(addr, now))
         return;
-    level.accessTags(addr, false);
+    level.accessTags(addr);
     ++level.prefetchFills;
     level.trackMiss(addr, now, now + source_latency);
 }
@@ -79,9 +79,9 @@ MemoryHierarchy::ifetch(Addr addr, Cycle now)
     now += tlb_lat;
     if (auto pend = l1i.pendingFill(addr, now))
         return std::max(*pend, now + p.l1i.latency);
-    if (l1i.accessTags(addr, false))
+    if (l1i.accessTags(addr))
         return now + p.l1i.latency;
-    Cycle fill = fillFromBeyondL1(addr, now, false, false);
+    Cycle fill = fillFromBeyondL1(addr, now, false);
     return l1i.trackMiss(addr, now, fill);
 }
 
@@ -95,8 +95,8 @@ MemoryHierarchy::load(Addr pc, Addr addr, Cycle now)
     if (p.enablePrefetch) {
         if (Addr pf = l1dStride.observe(pc, addr)) {
             if (!l1d.peek(pf) && !l1d.pendingFill(pf, now)) {
-                Cycle src = fillFromBeyondL1(pf, now, false, false);
-                l1d.accessTags(pf, false);
+                Cycle src = fillFromBeyondL1(pf, now, false);
+                l1d.accessTags(pf);
                 ++l1d.prefetchFills;
                 l1d.trackMiss(pf, now, src);
             }
@@ -105,9 +105,9 @@ MemoryHierarchy::load(Addr pc, Addr addr, Cycle now)
 
     if (auto pend = l1d.pendingFill(addr, now))
         return std::max(*pend, now + p.l1d.latency);
-    if (l1d.accessTags(addr, false))
+    if (l1d.accessTags(addr))
         return now + p.l1d.latency;
-    Cycle fill = fillFromBeyondL1(addr, now, false, true);
+    Cycle fill = fillFromBeyondL1(addr, now, true);
     return l1d.trackMiss(addr, now, fill);
 }
 
@@ -118,10 +118,10 @@ MemoryHierarchy::storeCommit(Addr addr, Cycle now)
     now += tlb_lat;
     if (l1d.pendingFill(addr, now))
         return;
-    if (l1d.accessTags(addr, true))
+    if (l1d.accessTags(addr))
         return;
     // Write-allocate: bring the line in; commit does not wait for it.
-    Cycle fill = fillFromBeyondL1(addr, now, true, true);
+    Cycle fill = fillFromBeyondL1(addr, now, true);
     l1d.trackMiss(addr, now, fill);
 }
 

@@ -66,8 +66,7 @@ class MemoryHierarchy
      * return its fill-completion cycle.
      * @param run_prefetch drive the L2/L3 stream prefetchers.
      */
-    Cycle fillFromBeyondL1(Addr addr, Cycle now, bool is_write,
-                           bool run_prefetch);
+    Cycle fillFromBeyondL1(Addr addr, Cycle now, bool run_prefetch);
 
     /** Issue a degree-1 prefetch of @p addr into @p level. */
     void prefetchInto(CacheLevel &level, Addr addr, Cycle now,

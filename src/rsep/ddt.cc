@@ -20,7 +20,7 @@ Ddt::clear()
 }
 
 std::optional<HistoryMatch>
-Ddt::accessAndUpdate(u16 hash, u32 csn, u64 seq)
+Ddt::accessAndUpdate(u16 hash, u32 csn, u64 seq, u64 value)
 {
     ++lookups;
     Entry &e = table[hash & (table.size() - 1)];
@@ -32,12 +32,13 @@ Ddt::accessAndUpdate(u16 hash, u32 csn, u64 seq)
         // exactly the "per chance match" noise the paper describes.
         if (dist != 0) {
             ++matches;
-            out = HistoryMatch{dist, e.seq, false};
+            out = HistoryMatch{dist, e.seq, e.value, false};
         }
     }
     e.valid = true;
     e.csn = csn & csnMask;
     e.seq = seq;
+    e.value = value;
     return out;
 }
 

@@ -33,9 +33,13 @@ class Ddt
 
     /**
      * Commit-time access: read the distance to the previous same-hash
-     * instruction (if any) and record this instruction.
+     * instruction (if any) and record this instruction. @p value is
+     * this instruction's result, kept as simulator bookkeeping (like
+     * FifoHistory::push) so a later match can report its producer's
+     * value for the false-pair stats; it is not hardware state.
      */
-    std::optional<HistoryMatch> accessAndUpdate(u16 hash, u32 csn, u64 seq);
+    std::optional<HistoryMatch> accessAndUpdate(u16 hash, u32 csn, u64 seq,
+                                                u64 value);
 
     void clear();
 
@@ -51,6 +55,7 @@ class Ddt
         bool valid = false;
         u32 csn = 0;
         u64 seq = 0;
+        u64 value = 0; ///< simulator bookkeeping (false-pair stats).
     };
 
     std::vector<Entry> table;

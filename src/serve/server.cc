@@ -447,18 +447,19 @@ Server::preflight(const PendingRequest &req)
         for (u32 p = 0; p < max_ckpts; ++p) {
             std::string path =
                 wl::tracePath(req.traceIo.replayDir, b, p);
-            wl::TraceParse tp = wl::readTraceFile(path, true);
+            wl::DecodedTraceParse tp =
+                wl::loadDecodedTrace(path, /*header_only=*/true);
             if (!tp.ok())
                 return "replay preflight: " + tp.error;
-            if (tp.header.workload != b || tp.header.phase != p)
+            const wl::TraceHeader &th = tp.trace->header;
+            if (th.workload != b || th.phase != p)
                 return "replay preflight: " + path +
-                       ": trace identity mismatch (records " +
-                       tp.header.workload + " phase " +
-                       std::to_string(tp.header.phase) + ")";
-            if (tp.header.workloadHash != whash)
+                       ": trace identity mismatch (records " + th.workload +
+                       " phase " + std::to_string(th.phase) + ")";
+            if (th.workloadHash != whash)
                 return "replay preflight: " + path +
                        ": workload hash mismatch (trace " +
-                       tp.header.workloadHash + ", spec " + whash + ")";
+                       th.workloadHash + ", spec " + whash + ")";
         }
     }
     return "";

@@ -114,22 +114,6 @@ parseJobsArg(int argc, char **argv)
     return jobs;
 }
 
-bool
-parseStealValue(const std::string &s, StealMode &mode, std::string &err)
-{
-    if (s == "cell") {
-        mode = StealMode::Cell;
-        return true;
-    }
-    if (s == "window") {
-        mode = StealMode::Window;
-        return true;
-    }
-    err = "invalid steal granularity '" + s +
-          "' (expected 'cell' or 'window')";
-    return false;
-}
-
 PhaseResult
 runCachedCell(ResultCache *cache, const SimConfig &cfg,
               const std::string &benchmark,
@@ -201,8 +185,6 @@ runMatrix(const std::vector<SimConfig> &configs,
             std::fprintf(stderr, " (shard %u/%u: %zu of %zu runs)",
                          opts.shard.index, opts.shard.count,
                          plan.selectedRuns, plan.totalRuns);
-        if (opts.steal == StealMode::Window)
-            std::fprintf(stderr, " [steal window]");
         if (use_cache)
             std::fprintf(stderr, " [cache %s]", cache.dir().c_str());
         if (opts.sampling.active())
@@ -222,9 +204,9 @@ runMatrix(const std::vector<SimConfig> &configs,
     std::atomic<size_t> done{0};
     std::mutex progress_mtx;
 
-    // One cell's work, identical under either steal granularity: the
-    // cell computes from its own seed into its own slot, so the steal
-    // mode only decides how cells are batched into pool tasks.
+    // One pool task per (benchmark, config, checkpoint) cell: the cell
+    // computes from its own seed into its own slot, so the order in
+    // which workers steal cells never reaches the results.
     auto run_cell = [&](size_t b, size_t c, u32 p) {
         rows[b].byConfig[c].phases[p] = runCachedCell(
             use_cache ? &cache : nullptr, configs[c], benchmarks[b],
@@ -249,14 +231,6 @@ runMatrix(const std::vector<SimConfig> &configs,
         for (size_t c = 0; c < configs.size(); ++c) {
             if (!plan.selected[b][c])
                 continue;
-            if (opts.steal == StealMode::Window) {
-                // Per-window granularity: the whole run is one task.
-                pool.submit([&run_cell, b, c, &configs] {
-                    for (u32 p = 0; p < configs[c].checkpoints; ++p)
-                        run_cell(b, c, p);
-                });
-                continue;
-            }
             for (u32 p = 0; p < configs[c].checkpoints; ++p)
                 pool.submit([&run_cell, b, c, p] { run_cell(b, c, p); });
         }
@@ -270,8 +244,6 @@ runMatrix(const std::vector<SimConfig> &configs,
         for (RunResult &rr : row.byConfig) {
             if (!rr.inShard)
                 continue;
-            if (opts.steal == StealMode::Window)
-                ++rr.timing.stealWindow;
             for (const PhaseResult &ph : rr.phases) {
                 accountPhaseTiming(rr.timing, ph);
                 if (use_cache && !ph.fromCache)

@@ -89,11 +89,6 @@ struct RunTiming
     StatCounter cellsRun;     ///< cells actually simulated.
     StatCounter cacheHits;    ///< cells served by the result cache.
     StatCounter cacheMisses;  ///< cells the cache could not serve.
-    /** 1 when the matrix ran at per-window steal granularity
-     *  (`--steal window`), 0 for per-cell — recorded so merged
-     *  `--timings` summaries stay self-describing about how their
-     *  wall-clock numbers were produced. */
-    StatCounter stealWindow;
     /** Trace data-path cost: wall-clock spent loading traces for
      *  replayed cells (decode on a miss, lookup on a hit) — the slice
      *  of wallMicros the decoded-trace cache exists to shrink. */
@@ -114,7 +109,6 @@ visitStats(RunTiming &t, V &&v)
     v("timing.cells_run", t.cellsRun);
     v("timing.cache_hits", t.cacheHits);
     v("timing.cache_misses", t.cacheMisses);
-    v("timing.steal_window", t.stealWindow);
     v("timing.trace_load_micros", t.traceLoadMicros);
     v("timing.trace_decode_hits", t.traceDecodeHits);
     v("timing.trace_decode_misses", t.traceDecodeMisses);

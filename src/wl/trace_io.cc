@@ -25,8 +25,6 @@ namespace rsep::wl
 namespace
 {
 
-constexpr size_t recordBytes = 4 + 4 + 8 + 8 + 1;
-
 /** Workload keys are plain tokens (possibly `name@hash`), but never
  *  trust a path element. */
 std::string
@@ -41,54 +39,7 @@ sanitized(const std::string &s)
     return out.empty() ? std::string("_") : out;
 }
 
-void
-putU32(std::string &s, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &s, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-u32
-getU32(const char *p)
-{
-    u32 v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-u64
-getU64(const char *p)
-{
-    u64 v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-std::string
-encodePayload(const std::vector<DynRecord> &records)
-{
-    std::string payload;
-    payload.reserve(records.size() * recordBytes);
-    for (const DynRecord &r : records) {
-        putU32(payload, r.staticIdx);
-        putU32(payload, r.nextIdx);
-        putU64(payload, r.result);
-        putU64(payload, r.effAddr);
-        payload.push_back(r.taken ? 1 : 0);
-    }
-    return payload;
-}
-
-// ---- v2 varint/delta encoding ----
+// ---- payload varint/delta encoding ----
 
 // Per-record flag bits (see trace_io.hh).
 enum : u8 {
@@ -139,7 +90,7 @@ unzigzag(u64 v)
 }
 
 std::string
-encodePayloadV2(const std::vector<DynRecord> &records)
+encodePayload(const std::vector<DynRecord> &records)
 {
     std::string payload;
     payload.reserve(records.size() * 4); // typical record: 1-4 bytes.
@@ -180,14 +131,12 @@ encodePayloadV2(const std::vector<DynRecord> &records)
 }
 
 /**
- * Decode a v2 payload, emitting each record to @p emit — the ONE
- * decoder behind both the AoS and the SoA form, so the two can never
- * diverge. The payload view is read in place (zero-copy off an mmap).
+ * Decode a payload of @p count records, appending each to @p out's
+ * lanes. The payload view is read in place (zero-copy off an mmap).
  */
-template <class Emit>
 bool
-decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
-                std::string &msg)
+decodePayload(std::string_view payload, u64 count, DecodedTrace &out,
+              std::string &msg)
 {
     const char *p = payload.data();
     const char *end = p + payload.size();
@@ -247,7 +196,7 @@ decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
         r.taken = (flags & f2Taken) != 0;
         prev_next = r.nextIdx;
         prev_result = r.result;
-        emit(r);
+        out.appendRecord(r);
     }
     if (p != end) {
         msg = "payload has " + std::to_string(end - p) +
@@ -255,24 +204,6 @@ decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
         return false;
     }
     return true;
-}
-
-/** v1 fixed-width decode with the same emit shape (sizes are already
- *  validated against the record count by the envelope parse). */
-template <class Emit>
-void
-decodePayloadV1(std::string_view payload, u64 count, Emit &&emit)
-{
-    const char *p = payload.data();
-    for (u64 i = 0; i < count; ++i, p += recordBytes) {
-        DynRecord r;
-        r.staticIdx = getU32(p);
-        r.nextIdx = getU32(p + 4);
-        r.result = getU64(p + 8);
-        r.effAddr = getU64(p + 16);
-        r.taken = p[24] != 0;
-        emit(r);
-    }
 }
 
 /**
@@ -325,10 +256,15 @@ parseEnvelope(std::string_view text, const std::string &origin)
         return fail("not a trace file");
     {
         u64 ver = 0;
-        if (!parseU64(std::string(line.substr(11)), ver) ||
-            ver < traceFormatVersionMin || ver > traceFormatVersion)
-            return fail("bad or unsupported trace version");
-        out.header.version = static_cast<unsigned>(ver);
+        if (!parseU64(std::string(line.substr(11)), ver))
+            return fail("bad trace version");
+        if (ver == 1)
+            return fail("trace format version 1 is retired (this build "
+                        "reads version " +
+                        std::to_string(traceFormatVersion) +
+                        " only); re-record the trace with --record-trace");
+        if (ver != traceFormatVersion)
+            return fail("unsupported trace version " + std::to_string(ver));
     }
     if (!nextLine(line) || !valueOf(line, "workload", v) || v.empty())
         return fail("bad workload header");
@@ -365,28 +301,12 @@ parseEnvelope(std::string_view text, const std::string &origin)
                     std::to_string(trailerBytes) +
                     " for the checksum trailer");
     u64 payload_bytes = text.size() - pos - trailerBytes;
-    if (out.header.version == 1) {
-        // v1 is fixed-width: the payload size is implied by the record
-        // count. Guard the multiply: a corrupt header could name a
-        // count whose byte size wraps 64 bits and slips past the
-        // length check, turning reserve() downstream into an abort
-        // instead of a diagnostic.
-        if (out.header.records > (text.size() - pos) / recordBytes)
-            return fail("truncated payload: record count " +
-                        std::to_string(out.header.records) +
-                        " exceeds the available bytes");
-        if (payload_bytes != out.header.records * recordBytes)
-            return fail("truncated or oversized payload (" +
-                        std::to_string(payload_bytes) + " bytes for " +
-                        std::to_string(out.header.records) + " records)");
-    } else {
-        // Every v2 record takes at least its flag byte; reject absurd
-        // record counts before reserve() can abort on a corrupt header.
-        if (out.header.records > payload_bytes)
-            return fail("truncated payload: record count " +
-                        std::to_string(out.header.records) +
-                        " exceeds the available bytes");
-    }
+    // Every record takes at least its flag byte; reject absurd record
+    // counts before reserve() can abort on a corrupt header.
+    if (out.header.records > payload_bytes)
+        return fail("truncated payload: record count " +
+                    std::to_string(out.header.records) +
+                    " exceeds the available bytes");
     std::string_view payload = text.substr(pos, payload_bytes);
     std::string_view trailer = text.substr(pos + payload_bytes);
     u64 want = 0;
@@ -435,6 +355,34 @@ injectTraceFault(const char *point_name, std::string_view &text,
     return true;
 }
 
+/** Validate @p text's envelope and decode its payload into SoA lanes;
+ *  with @p header_only the lanes stay empty (payload checksummed). */
+DecodedTraceParse
+decodeImage(std::string_view text, const std::string &origin,
+            bool header_only)
+{
+    DecodedTraceParse out;
+    Envelope env = parseEnvelope(text, origin);
+    if (!env.ok()) {
+        out.error = std::move(env.error);
+        return out;
+    }
+    auto decoded = std::make_shared<DecodedTrace>();
+    decoded->header = env.header;
+    decoded->payloadChecksum = env.checksum;
+    if (!header_only) {
+        decoded->reserveRecords(env.header.records);
+        std::string msg;
+        if (!decodePayload(env.payload, env.header.records, *decoded,
+                           msg)) {
+            out.error = origin + ": " + msg;
+            return out;
+        }
+    }
+    out.trace = std::move(decoded);
+    return out;
+}
+
 } // namespace
 
 std::string
@@ -448,14 +396,9 @@ std::string
 serializeTrace(const TraceHeader &header,
                const std::vector<DynRecord> &records)
 {
-    if (header.version < traceFormatVersionMin ||
-        header.version > traceFormatVersion)
-        rsep_fatal("serializeTrace: unsupported trace version %u",
-                   header.version);
-    std::string payload = header.version >= 2 ? encodePayloadV2(records)
-                                              : encodePayload(records);
+    std::string payload = encodePayload(records);
     std::ostringstream os;
-    os << "rsep-trace " << header.version << "\n";
+    os << "rsep-trace " << traceFormatVersion << "\n";
     os << "workload = " << header.workload << "\n";
     os << "workload_hash = " << header.workloadHash << "\n";
     os << "phase = " << header.phase << "\n";
@@ -467,100 +410,30 @@ serializeTrace(const TraceHeader &header,
     return os.str();
 }
 
-TraceParse
-parseTrace(std::string_view text, const std::string &origin,
-           bool header_only)
-{
-    TraceParse out;
-    Envelope env = parseEnvelope(text, origin);
-    if (!env.ok()) {
-        out.error = std::move(env.error);
-        return out;
-    }
-    out.header = env.header;
-    out.payloadChecksum = env.checksum;
-    if (header_only)
-        return out;
-
-    out.records.reserve(env.header.records);
-    auto emit = [&](const DynRecord &r) { out.records.push_back(r); };
-    if (env.header.version >= 2) {
-        std::string msg;
-        if (!decodePayloadV2(env.payload, env.header.records, emit, msg)) {
-            out.error = origin + ": " + msg;
-            out.records.clear();
-            return out;
-        }
-        return out;
-    }
-    decodePayloadV1(env.payload, env.header.records, emit);
-    return out;
-}
-
 DecodedTraceParse
 decodeTraceImage(std::string_view text, const std::string &origin)
 {
     DecodedTraceParse out;
     // "trace.decode" injects here so every decode path — the tooling
     // loader and the shared DecodedTraceCache alike — is covered.
-    std::string inj_err;
-    if (!injectTraceFault("trace.decode", text, origin, inj_err)) {
-        out.error = std::move(inj_err);
+    if (!injectTraceFault("trace.decode", text, origin, out.error))
         return out;
-    }
-    Envelope env = parseEnvelope(text, origin);
-    if (!env.ok()) {
-        out.error = std::move(env.error);
-        return out;
-    }
-    auto decoded = std::make_shared<DecodedTrace>();
-    decoded->header = env.header;
-    decoded->payloadChecksum = env.checksum;
-    decoded->reserveRecords(env.header.records);
-    auto emit = [&](const DynRecord &r) { decoded->appendRecord(r); };
-    if (env.header.version >= 2) {
-        std::string msg;
-        if (!decodePayloadV2(env.payload, env.header.records, emit, msg)) {
-            out.error = origin + ": " + msg;
-            return out;
-        }
-    } else {
-        decodePayloadV1(env.payload, env.header.records, emit);
-    }
-    out.trace = std::move(decoded);
-    return out;
-}
-
-TraceParse
-readTraceFile(const std::string &path, bool header_only)
-{
-    MmapFile file;
-    std::string err;
-    if (!file.open(path, &err)) {
-        TraceParse out;
-        out.error = err;
-        return out;
-    }
-    std::string_view view = file.view();
-    if (!injectTraceFault("trace.read", view, path, err)) {
-        TraceParse out;
-        out.error = err;
-        return out;
-    }
-    return parseTrace(view, path, header_only);
+    return decodeImage(text, origin, /*header_only=*/false);
 }
 
 DecodedTraceParse
-loadDecodedTrace(const std::string &path)
+loadDecodedTrace(const std::string &path, bool header_only)
 {
+    DecodedTraceParse out;
     MmapFile file;
-    std::string err;
-    if (!file.open(path, &err)) {
-        DecodedTraceParse out;
-        out.error = err;
+    if (!file.open(path, &out.error))
         return out;
-    }
-    return decodeTraceImage(file.view(), path);
+    std::string_view view = file.view();
+    if (!injectTraceFault("trace.read", view, path, out.error))
+        return out;
+    // Header-only reads decode nothing, so only trace.read covers them.
+    return header_only ? decodeImage(view, path, /*header_only=*/true)
+                       : decodeTraceImage(view, path);
 }
 
 std::shared_ptr<const DecodedTrace>
@@ -666,30 +539,6 @@ ReplayTraceSource::ReplayTraceSource(
                    static_cast<unsigned long long>(
                        trace->header.programLength),
                    prog.size());
-}
-
-namespace
-{
-
-/** Decode-or-die bridge for the AoS convenience constructor. */
-std::shared_ptr<const DecodedTrace>
-decodedFromParse(TraceParse &parse)
-{
-    if (!parse.ok())
-        rsep_fatal("replay: %s", parse.error.c_str());
-    TraceHeader header = parse.header;
-    auto out = DecodedTrace::fromRecords(std::move(header), parse.records);
-    return out;
-}
-
-} // namespace
-
-ReplayTraceSource::ReplayTraceSource(TraceParse parse,
-                                     const isa::Program &program,
-                                     std::string origin_label)
-    : ReplayTraceSource(decodedFromParse(parse), program,
-                        std::move(origin_label))
-{
 }
 
 const DynRecord &

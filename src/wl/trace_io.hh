@@ -23,24 +23,20 @@
  *     <encoded records>
  *     checksum = 16-hex
  *
- * Payload encodings by version (readers accept both; writers emit the
- * version in TraceHeader::version, default current):
- *
- *  - v1: raw little-endian 25-byte records (u32 staticIdx, u32
- *    nextIdx, u64 result, u64 effAddr, u8 taken).
- *  - v2: per-record flag byte + LEB128 varints, exploiting committed-
- *    path structure to cut fleet trace-distribution cost several-fold:
- *    staticIdx is usually the previous record's nextIdx (1 bit),
- *    nextIdx is usually staticIdx+1 (1 bit, else a zigzag delta),
- *    results are often zero or repeat the previous record's (1 bit
- *    each, else a zigzag delta against the previous result), and
- *    effective addresses delta against the previous memory access.
+ * The payload is one encoding: a per-record flag byte + LEB128
+ * varints, exploiting committed-path structure to cut fleet trace-
+ * distribution cost several-fold: staticIdx is usually the previous
+ * record's nextIdx (1 bit), nextIdx is usually staticIdx+1 (1 bit,
+ * else a zigzag delta), results are often zero or repeat the previous
+ * record's (1 bit each, else a zigzag delta against the previous
+ * result), and effective addresses delta against the previous memory
+ * access. Version 1 (raw 25-byte records) is retired: readers reject
+ * it with a diagnostic that says to re-record.
  *
  * The read data path is zero-copy (DESIGN.md §11): files come in
- * through MmapFile (page-cache view, read() fallback) and both
- * decoders — the AoS TraceParse used by tooling and the SoA
- * DecodedTrace used by replay — run the *same* record decoder
- * straight off the view, so the two forms cannot diverge.
+ * through MmapFile (page-cache view, read() fallback) and decode
+ * straight off the view into the SoA DecodedTrace — the one decoded
+ * form, used by replay and tooling alike.
  *
  * Files are written atomically (temp + rename). A reader rejects —
  * with a diagnostic, never a partial result — version or checksum
@@ -62,12 +58,9 @@
 namespace rsep::wl
 {
 
-/** Current trace-format version (the writer default); bump on any
- *  layout change, keeping older versions readable. */
+/** The trace-format version every writer emits and readers accept;
+ *  bump on any layout change. */
 constexpr unsigned traceFormatVersion = 2;
-
-/** Oldest payload encoding readers still accept. */
-constexpr unsigned traceFormatVersionMin = 1;
 
 /** Conventional file extension (tracePath appends it). */
 constexpr const char *traceFileExtension = ".rtr";
@@ -75,9 +68,6 @@ constexpr const char *traceFileExtension = ".rtr";
 /** Identity header of one `.rtr` file. */
 struct TraceHeader
 {
-    /** Payload encoding to write / that was read (1 = raw records,
-     *  2 = varint/delta). */
-    unsigned version = traceFormatVersion;
     std::string workload;     ///< run-cell key (workloadKey).
     std::string workloadHash; ///< 16-hex workloadHash of the spec.
     u32 phase = 0;
@@ -92,26 +82,6 @@ std::string tracePath(const std::string &dir, const std::string &workload,
 /** Serialize a complete trace file image (header+payload+checksum). */
 std::string serializeTrace(const TraceHeader &header,
                            const std::vector<DynRecord> &records);
-
-/** Outcome of reading a trace file: header+records, or a diagnostic. */
-struct TraceParse
-{
-    TraceHeader header;
-    std::vector<DynRecord> records;
-    u64 payloadChecksum = 0; ///< FNV-1a of the on-disk payload.
-    std::string error; ///< "path: message"; empty on success.
-
-    bool ok() const { return error.empty(); }
-};
-
-/** Parse a trace image. @p origin labels diagnostics. When
- *  @p header_only is set the payload is checksummed but not decoded.
- *  The view is only read during the call (nothing aliases it after). */
-TraceParse parseTrace(std::string_view text, const std::string &origin,
-                      bool header_only = false);
-
-/** Load and parse a trace file from disk (MmapFile reader). */
-TraceParse readTraceFile(const std::string &path, bool header_only = false);
 
 /**
  * A fully decoded trace in struct-of-arrays form: the replay window's
@@ -192,12 +162,16 @@ struct DecodedTraceParse
 };
 
 /** Decode a trace image directly into SoA form — one pass over the
- *  (typically mmap'd) bytes, no intermediate record vector. */
+ *  (typically mmap'd) bytes, no intermediate record vector. @p origin
+ *  labels diagnostics; the view is only read during the call. */
 DecodedTraceParse decodeTraceImage(std::string_view text,
                                    const std::string &origin);
 
-/** Map (or read-fallback) and decode a trace file to SoA form. */
-DecodedTraceParse loadDecodedTrace(const std::string &path);
+/** Map (or read-fallback) and decode a trace file to SoA form. When
+ *  @p header_only is set the payload is checksummed but not decoded:
+ *  the result carries the header and checksum with empty lanes. */
+DecodedTraceParse loadDecodedTrace(const std::string &path,
+                                   bool header_only = false);
 
 /** Atomically write a trace file (temp + rename, directories created).
  *  False + @p err on I/O failure. */
@@ -266,10 +240,6 @@ class ReplayTraceSource : public TraceSource
      *  workload). @p origin labels diagnostics (e.g. the file path). */
     ReplayTraceSource(std::shared_ptr<const DecodedTrace> decoded,
                       const isa::Program &prog, std::string origin);
-
-    /** Convenience: decode an AoS parse (in-memory benches, tests). */
-    ReplayTraceSource(TraceParse parse, const isa::Program &prog,
-                      std::string origin);
 
     const DynRecord &step() override;
     const isa::Program &program() const override { return prog; }

@@ -322,8 +322,8 @@ TEST(FifoHistory, IndexedMatchesLinearScanReference)
 TEST(Ddt, MatchAndDistance)
 {
     Ddt ddt(256);
-    EXPECT_FALSE(ddt.accessAndUpdate(10, 100, 1).has_value());
-    auto m = ddt.accessAndUpdate(10, 105, 2);
+    EXPECT_FALSE(ddt.accessAndUpdate(10, 100, 1, 0x40).has_value());
+    auto m = ddt.accessAndUpdate(10, 105, 2, 0x40);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->distance, 5u);
     EXPECT_EQ(m->producerSeq, 1u);
@@ -332,9 +332,9 @@ TEST(Ddt, MatchAndDistance)
 TEST(Ddt, OnlyMostRecentKept)
 {
     Ddt ddt(256);
-    ddt.accessAndUpdate(10, 100, 1);
-    ddt.accessAndUpdate(10, 110, 2);
-    auto m = ddt.accessAndUpdate(10, 115, 3);
+    ddt.accessAndUpdate(10, 100, 1, 0x40);
+    ddt.accessAndUpdate(10, 110, 2, 0x40);
+    auto m = ddt.accessAndUpdate(10, 115, 3, 0x40);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->distance, 5u); // vs seq 2, not seq 1.
 }
@@ -344,10 +344,24 @@ TEST(Ddt, HashCollisionsProduceFalsePairs)
     // The DDT is value-hash indexed: different hashes colliding on an
     // entry index alias (paper's "per chance" noise exists by design).
     Ddt ddt(16);
-    ddt.accessAndUpdate(0x11, 100, 1);
-    auto m = ddt.accessAndUpdate(0x21, 103, 2); // same index mod 16.
+    ddt.accessAndUpdate(0x11, 100, 1, 0x40);
+    auto m = ddt.accessAndUpdate(0x21, 103, 2, 0x80); // same index mod 16.
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->distance, 3u);
+    EXPECT_EQ(m->producerValue, 0x40u); // differs: a false pair.
+}
+
+TEST(Ddt, EqualValueReaccessReportsProducerValue)
+{
+    // The engine counts a hash false positive when the matched
+    // producer's value differs from the committing result, so a true
+    // pair must hand back the producer's actual value.
+    Ddt ddt(256);
+    ddt.accessAndUpdate(10, 100, 1, 0xdeadbeef);
+    auto m = ddt.accessAndUpdate(10, 104, 2, 0xdeadbeef);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->producerValue, 0xdeadbeefu);
+    EXPECT_FALSE(m->matchedPredicted);
 }
 
 // ------------------------------- ISRB --------------------------------
@@ -488,8 +502,9 @@ TEST_P(IsrbSizes, ConservationUnderRandomWorkload)
             IsrbRelease r = isrb.release(p);
             ASSERT_NE(r, IsrbRelease::NotShared);
             --live[p];
-            if (live[p] == 0)
+            if (live[p] == 0) {
                 ASSERT_EQ(r, IsrbRelease::Freed);
+            }
         }
         ASSERT_LE(isrb.entriesInUse(), isrb.capacity());
     }

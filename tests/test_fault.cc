@@ -213,7 +213,7 @@ TEST_F(FaultTest, TraceWriteErrnoFailsWithDiagnostic)
     EXPECT_TRUE(wl::writeTraceFile(path, smallTraceHeader(32),
                                    smallTraceRecords(), &err))
         << err;
-    EXPECT_TRUE(wl::readTraceFile(path).ok());
+    EXPECT_TRUE(wl::loadDecodedTrace(path).ok());
     fs::remove_all(dir);
 }
 
@@ -231,7 +231,7 @@ TEST_F(FaultTest, TornTracePublishIsDiagnosedWithOffsets)
     ASSERT_TRUE(wl::writeTraceFile(path, smallTraceHeader(32),
                                    smallTraceRecords(), &err))
         << err;
-    wl::TraceParse tp = wl::readTraceFile(path);
+    wl::DecodedTraceParse tp = wl::loadDecodedTrace(path);
     ASSERT_FALSE(tp.ok());
     EXPECT_NE(tp.error.find("offset"), std::string::npos) << tp.error;
     fs::remove_all(dir);
@@ -258,7 +258,7 @@ TEST_F(FaultTest, ChecksumMismatchNamesExpectedAndComputed)
     text[marker + 8 + 3] ^= 0x40;
     std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 
-    wl::TraceParse tp = wl::readTraceFile(path);
+    wl::DecodedTraceParse tp = wl::loadDecodedTrace(path);
     ASSERT_FALSE(tp.ok());
     EXPECT_NE(tp.error.find("checksum mismatch"), std::string::npos)
         << tp.error;
@@ -277,10 +277,17 @@ TEST_F(FaultTest, TraceReadAndDecodeFaultsAreDiagnosed)
                                    smallTraceRecords(), &err));
 
     arm("trace.read:fail=eio");
-    wl::TraceParse tp = wl::readTraceFile(path);
+    wl::DecodedTraceParse tp = wl::loadDecodedTrace(path);
     ASSERT_FALSE(tp.ok());
     EXPECT_NE(tp.error.find("trace.read"), std::string::npos) << tp.error;
     EXPECT_NE(tp.error.find("injected"), std::string::npos) << tp.error;
+
+    // A header-only read opens the file too, so trace.read covers it.
+    arm("trace.read:fail=eio");
+    wl::DecodedTraceParse head = wl::loadDecodedTrace(path, true);
+    ASSERT_FALSE(head.ok());
+    EXPECT_NE(head.error.find("trace.read"), std::string::npos)
+        << head.error;
 
     // Truncate the decoded view near the end of the file: the parse
     // must degrade into a truncation diagnostic, never an assert.

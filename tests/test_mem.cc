@@ -16,10 +16,10 @@ TEST(Cache, HitAfterMiss)
 {
     CacheLevel c({.name = "t", .sizeBytes = 4096, .assoc = 4,
                   .latency = 4, .mshrs = 8});
-    EXPECT_FALSE(c.accessTags(0x1000, false));
-    EXPECT_TRUE(c.accessTags(0x1000, false));
-    EXPECT_TRUE(c.accessTags(0x1038, false)); // same 64B line.
-    EXPECT_FALSE(c.accessTags(0x1040, false)); // next line.
+    EXPECT_FALSE(c.accessTags(0x1000));
+    EXPECT_TRUE(c.accessTags(0x1000));
+    EXPECT_TRUE(c.accessTags(0x1038)); // same 64B line.
+    EXPECT_FALSE(c.accessTags(0x1040)); // next line.
     EXPECT_EQ(c.hits.value(), 2u);
     EXPECT_EQ(c.misses.value(), 2u);
 }
@@ -29,10 +29,10 @@ TEST(Cache, LruEvictsOldest)
     // 4 sets x 2 ways, 64B lines: lines mapping to set 0 are 256B apart.
     CacheLevel c({.name = "t", .sizeBytes = 512, .assoc = 2,
                   .latency = 1, .mshrs = 4});
-    c.accessTags(0x0, false);
-    c.accessTags(0x100, false);
-    c.accessTags(0x0, false);   // refresh line 0.
-    c.accessTags(0x200, false); // evicts 0x100.
+    c.accessTags(0x0);
+    c.accessTags(0x100);
+    c.accessTags(0x0);   // refresh line 0.
+    c.accessTags(0x200); // evicts 0x100.
     EXPECT_TRUE(c.peek(0x0));
     EXPECT_FALSE(c.peek(0x100));
     EXPECT_TRUE(c.peek(0x200));

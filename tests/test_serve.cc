@@ -11,6 +11,8 @@
  *    oversized length prefixes, out-of-order frames, bad requests —
  *    is answered with an Error frame (or a clean close) and never
  *    takes the daemon down: a well-formed client still gets served;
+ *  - a replay request naming a retired version-1 trace gets an Error
+ *    frame that says to re-record it;
  *  - concurrent clients batch into the shared pool and each get
  *    exactly their own cells back;
  *  - suite-name workload overrides are rejected over the wire (the
@@ -41,6 +43,8 @@
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/stat_export.hh"
+#include "wl/trace_io.hh"
+#include "wl/workload_spec.hh"
 
 namespace rsep::serve
 {
@@ -211,8 +215,9 @@ TEST_F(ServeTest, GarbageFrameTypeRejected)
     std::string err;
     // The daemon answers Error (best effort) and closes; either way
     // it must not crash.
-    if (readFrame(fd, reply, &err))
+    if (readFrame(fd, reply, &err)) {
         EXPECT_EQ(reply.type, FrameType::Error);
+    }
     ::close(fd);
 
     expectServable(sock);
@@ -229,8 +234,9 @@ TEST_F(ServeTest, OversizedFrameRejectedBeforeAllocation)
     ASSERT_EQ(5, ::send(fd, frame, 5, MSG_NOSIGNAL));
     Frame reply;
     std::string err;
-    if (readFrame(fd, reply, &err))
+    if (readFrame(fd, reply, &err)) {
         EXPECT_EQ(reply.type, FrameType::Error);
+    }
     ::close(fd);
 
     expectServable(sock);
@@ -295,6 +301,53 @@ TEST_F(ServeTest, BadRequestKeepsConnectionUsable)
     ASSERT_TRUE(parseDone(reply.payload, done, &err)) << err;
     EXPECT_EQ(done.cellsRun + done.cacheHits, 1u);
     ::close(fd);
+}
+
+TEST_F(ServeTest, RetiredV1ReplayTraceAnsweredWithError)
+{
+    // A replay directory holding a retired version-1 trace: the replay
+    // preflight rejects the request with the re-record diagnostic in an
+    // Error frame, and the daemon serves the next request.
+    std::string dir = (fs::temp_directory_path() /
+                       ("rsep_serve_v1_" + std::to_string(::getpid())))
+                          .string();
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    wl::TraceHeader h;
+    h.workload = "mcf";
+    h.workloadHash = wl::workloadHash(*wl::findWorkloadSpec("mcf"));
+    std::string image = wl::serializeTrace(h, {wl::DynRecord{}});
+    image[11] = '1'; // "rsep-trace 2" -> "rsep-trace 1"
+    std::ofstream(wl::tracePath(dir, "mcf", 0), std::ios::binary) << image;
+
+    startServer();
+    int fd = rawConnect(sock);
+    std::string err;
+    ASSERT_TRUE(writeFrame(fd, FrameType::Hello, helloPayload(), &err));
+    Frame reply;
+    ASSERT_TRUE(readFrame(fd, reply, &err)) << err;
+    ASSERT_EQ(reply.type, FrameType::Hello);
+
+    std::vector<sim::Scenario> scenarios = {
+        {"t-base", shrunk(sim::SimConfig::baseline())}};
+    scenarios[0].config.label = "t-base";
+    scenarios[0].config.checkpoints = 1;
+    SubmitRequest sub;
+    sub.benchmarks = {"mcf"};
+    sub.replayDir = dir;
+    sub.scnText = sim::serializeScenarios(scenarios);
+    ASSERT_TRUE(
+        writeFrame(fd, FrameType::Submit, serializeSubmit(sub), &err));
+    ASSERT_TRUE(readFrame(fd, reply, &err)) << err;
+    ASSERT_EQ(reply.type, FrameType::Error);
+    EXPECT_NE(reply.payload.find("version 1 is retired"), std::string::npos)
+        << reply.payload;
+    EXPECT_NE(reply.payload.find("re-record"), std::string::npos)
+        << reply.payload;
+    ::close(fd);
+
+    expectServable(sock);
+    fs::remove_all(dir);
 }
 
 TEST_F(ServeTest, SuiteNameOverrideRejected)

@@ -58,6 +58,32 @@ sampleRecords(size_t n)
     return recs;
 }
 
+/** The decoded stream as records, for re-serialization. */
+std::vector<wl::DynRecord>
+recordsOf(const wl::DecodedTrace &t)
+{
+    std::vector<wl::DynRecord> out;
+    for (size_t i = 0; i < t.size(); ++i)
+        out.push_back(t.recordAt(i));
+    return out;
+}
+
+/** @p t decodes to exactly @p want, record for record. */
+void
+expectRecords(const wl::DecodedTrace &t,
+              const std::vector<wl::DynRecord> &want)
+{
+    ASSERT_EQ(t.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        wl::DynRecord r = t.recordAt(i);
+        EXPECT_EQ(r.staticIdx, want[i].staticIdx) << i;
+        EXPECT_EQ(r.nextIdx, want[i].nextIdx) << i;
+        EXPECT_EQ(r.result, want[i].result) << i;
+        EXPECT_EQ(r.effAddr, want[i].effAddr) << i;
+        EXPECT_EQ(r.taken, want[i].taken) << i;
+    }
+}
+
 wl::TraceHeader
 sampleHeader(u64 records)
 {
@@ -74,22 +100,20 @@ TEST(TraceIo, RoundTripIsBitExact)
 {
     auto recs = sampleRecords(1000);
     std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
-    wl::TraceParse parsed = wl::parseTrace(image, "<mem>");
+    EXPECT_EQ(image.substr(0, 13), "rsep-trace 2\n");
+    wl::DecodedTraceParse parsed = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_EQ(parsed.header.workload, "sample");
-    EXPECT_EQ(parsed.header.workloadHash, "0123456789abcdef");
-    EXPECT_EQ(parsed.header.phase, 2u);
-    EXPECT_EQ(parsed.header.programLength, 37u);
-    ASSERT_EQ(parsed.records.size(), recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(parsed.records[i].staticIdx, recs[i].staticIdx) << i;
-        EXPECT_EQ(parsed.records[i].nextIdx, recs[i].nextIdx) << i;
-        EXPECT_EQ(parsed.records[i].result, recs[i].result) << i;
-        EXPECT_EQ(parsed.records[i].effAddr, recs[i].effAddr) << i;
-        EXPECT_EQ(parsed.records[i].taken, recs[i].taken) << i;
-    }
-    // Serializing the parse reproduces the image byte for byte.
-    EXPECT_EQ(wl::serializeTrace(parsed.header, parsed.records), image);
+    const wl::DecodedTrace &t = *parsed.trace;
+    EXPECT_EQ(t.header.workload, "sample");
+    EXPECT_EQ(t.header.workloadHash, "0123456789abcdef");
+    EXPECT_EQ(t.header.phase, 2u);
+    EXPECT_EQ(t.header.programLength, 37u);
+    EXPECT_EQ(t.header.records, recs.size());
+    expectRecords(t, recs);
+    EXPECT_EQ(t.decodedBytes(),
+              recs.size() * wl::DecodedTrace::bytesPerRecord);
+    // Serializing the decode reproduces the image byte for byte.
+    EXPECT_EQ(wl::serializeTrace(t.header, recordsOf(t)), image);
 }
 
 TEST(TraceIo, FileRoundTripAndHeaderOnly)
@@ -103,14 +127,27 @@ TEST(TraceIo, FileRoundTripAndHeaderOnly)
         wl::writeTraceFile(path, sampleHeader(recs.size()), recs, &err))
         << err;
 
-    wl::TraceParse full = wl::readTraceFile(path);
+    wl::DecodedTraceParse full = wl::loadDecodedTrace(path);
     ASSERT_TRUE(full.ok()) << full.error;
-    EXPECT_EQ(full.records.size(), 64u);
+    expectRecords(*full.trace, recs);
 
-    wl::TraceParse head = wl::readTraceFile(path, /*header_only=*/true);
+    wl::DecodedTraceParse head =
+        wl::loadDecodedTrace(path, /*header_only=*/true);
     ASSERT_TRUE(head.ok()) << head.error;
-    EXPECT_EQ(head.header.records, 64u);
-    EXPECT_TRUE(head.records.empty());
+    EXPECT_EQ(head.trace->header.records, 64u);
+    EXPECT_EQ(head.trace->header.workload, "sample");
+    EXPECT_EQ(head.trace->payloadChecksum, full.trace->payloadChecksum);
+    EXPECT_EQ(head.trace->size(), 0u);
+
+    // Header-only reads still checksum the payload.
+    std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
+    image[image.find("payload\n") + 8 + 10] ^= 0x40;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << image;
+    wl::DecodedTraceParse bad =
+        wl::loadDecodedTrace(path, /*header_only=*/true);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.error.find("checksum mismatch"), std::string::npos)
+        << bad.error;
 
     fs::remove_all(dir);
 }
@@ -121,12 +158,14 @@ TEST(TraceIo, CorruptionIsRejectedWithDiagnostics)
     std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
 
     auto errOf = [](std::string img) {
-        return wl::parseTrace(img, "<bad>").error;
+        wl::DecodedTraceParse p = wl::decodeTraceImage(img, "<bad>");
+        EXPECT_FALSE(p.ok());
+        return p.error;
     };
 
     // Version mismatch.
     std::string v = image;
-    v[11] = '9'; // "rsep-trace 1" -> "rsep-trace 9"
+    v[11] = '9'; // "rsep-trace 2" -> "rsep-trace 9"
     EXPECT_NE(errOf(v).find("version"), std::string::npos);
 
     // Flipped payload byte -> checksum mismatch.
@@ -143,11 +182,11 @@ TEST(TraceIo, CorruptionIsRejectedWithDiagnostics)
     std::string lie = image;
     size_t at = lie.find("records = 50");
     lie.replace(at, 12, "records = 51");
-    EXPECT_FALSE(wl::parseTrace(lie, "<bad>").ok());
+    EXPECT_FALSE(errOf(lie).empty());
 
     // Empty / garbage input.
-    EXPECT_FALSE(wl::parseTrace("", "<bad>").ok());
-    EXPECT_FALSE(wl::parseTrace("not a trace\n", "<bad>").ok());
+    EXPECT_FALSE(errOf("").empty());
+    EXPECT_FALSE(errOf("not a trace\n").empty());
 }
 
 TEST(TraceIo, RecordingSourceTeesAndSlack)
@@ -174,34 +213,22 @@ TEST(TraceIo, RecordingSourceTeesAndSlack)
     }
 }
 
-TEST(TraceIo, V1StaysReadableAndMatchesV2Content)
+TEST(TraceIo, RetiredV1IsRejectedWithReRecordDiagnostic)
 {
-    auto recs = sampleRecords(500);
-    wl::TraceHeader h1 = sampleHeader(recs.size());
-    h1.version = 1;
-    std::string v1 = wl::serializeTrace(h1, recs);
-    wl::TraceHeader h2 = sampleHeader(recs.size());
-    h2.version = 2;
-    std::string v2 = wl::serializeTrace(h2, recs);
-
-    EXPECT_NE(v1.substr(0, 12), v2.substr(0, 12)); // version line.
-    wl::TraceParse p1 = wl::parseTrace(v1, "<v1>");
-    wl::TraceParse p2 = wl::parseTrace(v2, "<v2>");
-    ASSERT_TRUE(p1.ok()) << p1.error;
-    ASSERT_TRUE(p2.ok()) << p2.error;
-    EXPECT_EQ(p1.header.version, 1u);
-    EXPECT_EQ(p2.header.version, 2u);
-    ASSERT_EQ(p1.records.size(), p2.records.size());
-    for (size_t i = 0; i < p1.records.size(); ++i) {
-        EXPECT_EQ(p1.records[i].staticIdx, p2.records[i].staticIdx) << i;
-        EXPECT_EQ(p1.records[i].nextIdx, p2.records[i].nextIdx) << i;
-        EXPECT_EQ(p1.records[i].result, p2.records[i].result) << i;
-        EXPECT_EQ(p1.records[i].effAddr, p2.records[i].effAddr) << i;
-        EXPECT_EQ(p1.records[i].taken, p2.records[i].taken) << i;
-    }
-    // Old files keep re-serializing as their own version (a reader
-    // that rewrites must not silently re-encode).
-    EXPECT_EQ(wl::serializeTrace(p1.header, p1.records), v1);
+    // Version 1 (raw 25-byte records) is retired. Its header differs
+    // from a current one only in the version line, so the envelope
+    // must stop there and say what to do, never crash or misdecode.
+    auto recs = sampleRecords(50);
+    std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
+    image[11] = '1'; // "rsep-trace 2" -> "rsep-trace 1"
+    wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<v1>");
+    ASSERT_FALSE(p.ok());
+    EXPECT_NE(p.error.find("<v1>: "), std::string::npos) << p.error;
+    EXPECT_NE(p.error.find("version 1 is retired"), std::string::npos)
+        << p.error;
+    EXPECT_NE(p.error.find("re-record"), std::string::npos) << p.error;
+    EXPECT_NE(p.error.find("--record-trace"), std::string::npos)
+        << p.error;
 }
 
 TEST(TraceIo, V2ExtremeValuesRoundTrip)
@@ -229,25 +256,19 @@ TEST(TraceIo, V2ExtremeValuesRoundTrip)
         add(static_cast<u32>(i % 7), static_cast<u32>((i + 1) % 7),
             i % 4 ? i : 0, i % 3 ? 0x1000 + 8 * (i % 16) : 0,
             i % 9 == 0);
-    wl::TraceHeader h = sampleHeader(recs.size());
-    h.version = 2;
-    std::string image = wl::serializeTrace(h, recs);
-    wl::TraceParse p = wl::parseTrace(image, "<mem>");
+    std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
+    wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(p.ok()) << p.error;
-    ASSERT_EQ(p.records.size(), recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(p.records[i].staticIdx, recs[i].staticIdx) << i;
-        EXPECT_EQ(p.records[i].nextIdx, recs[i].nextIdx) << i;
-        EXPECT_EQ(p.records[i].result, recs[i].result) << i;
-        EXPECT_EQ(p.records[i].effAddr, recs[i].effAddr) << i;
-        EXPECT_EQ(p.records[i].taken, recs[i].taken) << i;
-    }
+    expectRecords(*p.trace, recs);
+    EXPECT_EQ(wl::serializeTrace(p.trace->header, recordsOf(*p.trace)),
+              image);
 }
 
 TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
 {
     // The point of the encoding: a real committed-path stream shrinks
-    // several-fold against the 25-byte raw records.
+    // several-fold against fixed-width 25-byte records (u32 staticIdx,
+    // u32 nextIdx, u64 result, u64 effAddr, u8 taken).
     wl::Workload w = wl::makeWorkload("hmmer");
     wl::Emulator emu(w.program);
     emu.resetArchState();
@@ -257,16 +278,15 @@ TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
         rec.step();
     wl::TraceHeader h = sampleHeader(rec.records().size());
     h.programLength = w.program.size();
-    h.version = 1;
-    std::string v1 = wl::serializeTrace(h, rec.records());
-    h.version = 2;
-    std::string v2 = wl::serializeTrace(h, rec.records());
-    EXPECT_LT(v2.size() * 3, v1.size())
-        << "v2 should be at least 3x smaller on a real stream "
-        << "(v1 " << v1.size() << "B, v2 " << v2.size() << "B)";
-    wl::TraceParse p = wl::parseTrace(v2, "<mem>");
+    const size_t fixed_width = rec.records().size() * 25;
+    std::string image = wl::serializeTrace(h, rec.records());
+    EXPECT_LT(image.size() * 3, fixed_width)
+        << "the trace should be at least 3x smaller than fixed-width "
+        << "records on a real stream (fixed " << fixed_width
+        << "B, encoded " << image.size() << "B)";
+    wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(p.ok()) << p.error;
-    EXPECT_EQ(p.records.size(), rec.records().size());
+    EXPECT_EQ(p.trace->size(), rec.records().size());
 }
 
 sim::SimConfig
@@ -368,16 +388,34 @@ TEST(TraceReplay, MismatchedWorkloadHashIsRejected)
     // Tamper: rewrite the file under a different workload's name so
     // the identity echo cannot match.
     std::string path = wl::tracePath(dir, "lbm", 0);
-    wl::TraceParse t = wl::readTraceFile(path);
-    ASSERT_TRUE(t.ok());
-    t.header.workload = "mcf";
+    wl::DecodedTraceParse t = wl::loadDecodedTrace(path);
+    ASSERT_TRUE(t.ok()) << t.error;
+    wl::TraceHeader h = t.trace->header;
+    h.workload = "mcf";
     std::string err;
-    ASSERT_TRUE(wl::writeTraceFile(wl::tracePath(dir, "mcf", 0), t.header,
-                                   t.records, &err))
+    ASSERT_TRUE(wl::writeTraceFile(wl::tracePath(dir, "mcf", 0), h,
+                                   recordsOf(*t.trace), &err))
         << err;
     sim::TraceIoOptions replay;
     replay.replayDir = dir;
     EXPECT_DEATH(sim::runPhase(cfg, "mcf", 0, replay), "identity");
+    fs::remove_all(dir);
+}
+
+TEST(TraceReplay, RetiredV1TraceIsFatalWithReRecordDiagnostic)
+{
+    std::string dir = scratchDir("v1");
+    sim::SimConfig cfg = tinyConfig();
+    wl::TraceHeader h = sampleHeader(1);
+    h.workload = "mcf";
+    std::string image = wl::serializeTrace(h, {wl::DynRecord{}});
+    image[11] = '1'; // "rsep-trace 2" -> "rsep-trace 1"
+    std::ofstream(wl::tracePath(dir, "mcf", 0), std::ios::binary) << image;
+
+    sim::TraceIoOptions replay;
+    replay.replayDir = dir;
+    EXPECT_DEATH(sim::runPhase(cfg, "mcf", 0, replay),
+                 "version 1 is retired.*re-record");
     fs::remove_all(dir);
 }
 

@@ -187,9 +187,11 @@ TEST(WorkloadRegistry, RegisterAndOverride)
     EXPECT_EQ(findWorkloadSpec(key)->name, "wl-test-custom");
 
     // Re-registering a pristine suite spec is a no-op on identity.
-    for (const WorkloadSpec &s : suiteSpecs())
-        if (s.name == "lbm")
+    for (const WorkloadSpec &s : suiteSpecs()) {
+        if (s.name == "lbm") {
             EXPECT_EQ(registerWorkload(s), "lbm");
+        }
+    }
     EXPECT_EQ(resolveWorkloadKey("lbm").value_or(""), "lbm");
 
     // Overriding a suite name shifts name lookups to a hash-qualified

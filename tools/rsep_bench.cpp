@@ -11,8 +11,8 @@
  *     an in-memory recorded trace — the pure cycle loop, what a warm
  *     fleet worker pays). Grouped per kernel archetype.
  *  2. The replay-vs-live speedup implied by (1).
- *  3. runMatrix wall-clock vs thread count, for both `--steal`
- *     granularities (cell and window) — the ROADMAP scaling study.
+ *  3. runMatrix wall-clock vs thread count — the ROADMAP scaling
+ *     study.
  *
  * `--perf-json` writes the whole report as JSON (BENCH_PR5.json is a
  * checked-in run of it); `--baseline` points at a flat
@@ -67,7 +67,6 @@ struct WorkloadPerf
 
 struct ScalingPoint
 {
-    const char *steal;
     unsigned jobs;
     double wallSecs;
 };
@@ -136,7 +135,7 @@ printHelp()
         "usage: rsep_bench [options]\n"
         "Measure simulator throughput: single-thread cycle-loop Minst/s\n"
         "per workload (live emulation vs recorded-trace replay) and\n"
-        "runMatrix thread scaling for both --steal granularities.\n"
+        "runMatrix thread scaling.\n"
         "\noptions:\n"
         "  --perf-json PATH       write the report as JSON\n"
         "  --baseline PATH        flat 'workload live replay' Minst/s\n"
@@ -240,6 +239,17 @@ resolveWorkloadSet(const std::string &set,
     return true;
 }
 
+/** The recorded stream of @p rec as an in-memory decoded trace. */
+std::shared_ptr<const wl::DecodedTrace>
+memoryTrace(const std::string &name, const wl::Workload &w,
+            const wl::RecordingTraceSource &rec)
+{
+    wl::TraceHeader header;
+    header.workload = name;
+    header.programLength = w.program.size();
+    return wl::DecodedTrace::fromRecords(std::move(header), rec.records());
+}
+
 /**
  * Time one workload's cycle loop: live (emulator-fed, teeing the
  * stream) and replay (fed back the recorded stream from memory, so
@@ -272,12 +282,8 @@ timeWorkload(const sim::SimConfig &cfg, const std::string &name,
     // Slack so the replay's fetch lookahead cannot exhaust the stream.
     rec.recordSlack(8192);
 
-    wl::TraceParse parse;
-    parse.header.workload = name;
-    parse.header.programLength = w.program.size();
-    parse.header.records = rec.records().size();
-    parse.records = rec.records();
-    wl::ReplayTraceSource src(std::move(parse), w.program, "<memory>");
+    wl::ReplayTraceSource src(memoryTrace(name, w, rec), w.program,
+                              "<memory>");
     {
         core::Pipeline pipe(cfg.core, cfg.mech, src, cfg.seed ^ 0x9e37);
         pipe.run(warmup);
@@ -319,15 +325,11 @@ timeSamplingOverhead(const sim::SimConfig &cfg, const std::string &name,
     }
     rec.recordSlack(8192);
 
-    wl::TraceParse parse;
-    parse.header.workload = name;
-    parse.header.programLength = w.program.size();
-    parse.header.records = rec.records().size();
-    parse.records = rec.records();
+    std::shared_ptr<const wl::DecodedTrace> trace =
+        memoryTrace(name, w, rec);
 
     auto timed_run = [&](bool sampling) {
-        wl::TraceParse copy = parse;
-        wl::ReplayTraceSource src(std::move(copy), w.program, "<memory>");
+        wl::ReplayTraceSource src(trace, w.program, "<memory>");
         core::Pipeline pipe(cfg.core, cfg.mech, src, cfg.seed ^ 0x9e37);
         pipe.run(warmup);
         pipe.resetStats();
@@ -355,13 +357,11 @@ timeSamplingOverhead(const sim::SimConfig &cfg, const std::string &name,
 /** One timed runMatrix sweep (suite x 1 scenario, quiet). */
 double
 timeMatrix(const sim::SimConfig &cfg,
-           const std::vector<std::string> &benchmarks, unsigned jobs,
-           sim::StealMode steal)
+           const std::vector<std::string> &benchmarks, unsigned jobs)
 {
     sim::MatrixOptions opts;
     opts.jobs = jobs;
     opts.progress = false;
-    opts.steal = steal;
     std::vector<sim::SimConfig> configs{cfg};
     auto t0 = Clock::now();
     sim::runMatrix(configs, benchmarks, opts);
@@ -655,17 +655,11 @@ runBench(const Options &opt)
         scfg.warmupInsts = opt.scalingMeasure / 4;
         scfg.measureInsts = opt.scalingMeasure;
         scfg.checkpoints = 4; // several cells per run window.
-        for (sim::StealMode steal :
-             {sim::StealMode::Cell, sim::StealMode::Window}) {
-            const char *steal_name =
-                steal == sim::StealMode::Cell ? "cell" : "window";
-            for (unsigned jobs : opt.threads) {
-                double wall = timeMatrix(scfg, names, jobs, steal);
-                scaling.push_back({steal_name, jobs, wall});
-                std::printf("scaling steal=%-6s jobs=%-3u wall %.3f s\n",
-                            steal_name, jobs, wall);
-                std::fflush(stdout);
-            }
+        for (unsigned jobs : opt.threads) {
+            double wall = timeMatrix(scfg, names, jobs);
+            scaling.push_back({jobs, wall});
+            std::printf("scaling jobs=%-3u wall %.3f s\n", jobs, wall);
+            std::fflush(stdout);
         }
     }
 
@@ -761,20 +755,13 @@ runBench(const Options &opt)
                << ", \"acceptance\": \"overhead_pct < 3\"},\n";
 
         os << "  \"scaling\": [\n";
-        double base_cell = 0.0, base_window = 0.0;
+        double base = 0.0;
         for (const ScalingPoint &pt : scaling)
-            if (pt.jobs == 1) {
-                (std::strcmp(pt.steal, "cell") == 0 ? base_cell
-                                                    : base_window) =
-                    pt.wallSecs;
-            }
+            if (pt.jobs == 1)
+                base = pt.wallSecs;
         for (size_t i = 0; i < scaling.size(); ++i) {
             const ScalingPoint &pt = scaling[i];
-            double base = std::strcmp(pt.steal, "cell") == 0
-                ? base_cell
-                : base_window;
-            os << "    {\"steal\": \"" << pt.steal
-               << "\", \"jobs\": " << pt.jobs
+            os << "    {\"jobs\": " << pt.jobs
                << ", \"wall_s\": " << jsonNum(pt.wallSecs);
             if (base > 0.0)
                 os << ", \"speedup_vs_1_thread\": "

@@ -4,10 +4,10 @@
  * sample files (the per-cell phase-behaviour timelines the drivers
  * write with `--sample-every`; see sim/sample_io.hh).
  *
- *     rsep_samples info samples/*.rts
+ *     rsep_samples info samples/mcf-*.rts
  *     rsep_samples dump --limit 40 samples/mcf-*.rts
- *     rsep_samples merge --csv all.csv shard0/*.rts shard1/*.rts
- *     rsep_samples summarize samples/*.rts
+ *     rsep_samples merge --csv all.csv shard0/mcf-*.rts shard1/mcf-*.rts
+ *     rsep_samples summarize samples/mcf-*.rts
  *     rsep_samples diff samples/mcf-A-p0.rts samples/mcf-B-p0.rts
  *
  * `merge` pools many cells' series into one canonically-sorted CSV

@@ -5,12 +5,13 @@
  * Traces are the committed-path streams the drivers write with
  * `--record-trace` and replay with `--replay-trace` (wl/trace_io.hh).
  *
- *     rsep_trace info traces/*.rtr
+ *     rsep_trace info traces/mcf-p*.rtr
  *     rsep_trace dump --limit 40 traces/mcf-p0.rtr
- *     rsep_trace validate --deep traces/*.rtr
+ *     rsep_trace validate --deep traces/mcf-p*.rtr
  *
  * `validate` always checks the envelope (version, header, payload
- * size, checksum) plus — when the trace's workload resolves in the
+ * size, checksum; a retired version-1 trace fails with a "re-record"
+ * diagnostic) plus — when the trace's workload resolves in the
  * registry — the workload-hash and program-length echoes and every
  * record's static-index bounds. `--deep` additionally re-runs the
  * functional emulator for the cell and requires the recorded stream to
@@ -46,7 +47,9 @@ printHelp()
         "  dump             print decoded records (with disassembly when\n"
         "                   the workload resolves in the registry)\n"
         "  validate         check version, header, checksum and record\n"
-        "                   bounds; non-zero exit on any failure\n"
+        "                   bounds; non-zero exit on any failure (a\n"
+        "                   retired version-1 trace fails: re-record\n"
+        "                   it with --record-trace)\n"
         "\noptions:\n"
         "  --limit N        dump: stop after N records (default 32,\n"
         "                   0 = all)\n"
@@ -83,33 +86,30 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
 {
     bool ok = true;
     for (const std::string &path : files) {
-        wl::TraceParse t = wl::readTraceFile(path, /*header_only=*/true);
+        wl::DecodedTraceParse t =
+            wl::loadDecodedTrace(path, /*header_only=*/true);
         if (!t.ok()) {
             std::fprintf(stderr, "rsep_trace: %s\n", t.error.c_str());
             ok = false;
             continue;
         }
+        const wl::TraceHeader &h = t.trace->header;
         // Decoded SoA footprint: what one DecodedTraceCache entry for
         // this trace costs (see DecodedTrace::decodedBytes).
         const u64 decoded_bytes =
-            t.header.records * wl::DecodedTrace::bytesPerRecord;
+            h.records * wl::DecodedTrace::bytesPerRecord;
         std::printf("%s:\n", path.c_str());
-        std::printf("  version        %u%s\n", t.header.version,
-                    t.header.version == wl::traceFormatVersion
-                        ? ""
-                        : "  (older encoding; still replayable)");
-        std::printf("  workload       %s\n", t.header.workload.c_str());
-        std::printf("  workload_hash  %s%s\n",
-                    t.header.workloadHash.c_str(),
-                    specFor(t.header) ? "" : "  (not in this registry)");
-        std::printf("  phase          %u\n", t.header.phase);
+        std::printf("  version        %u\n", wl::traceFormatVersion);
+        std::printf("  workload       %s\n", h.workload.c_str());
+        std::printf("  workload_hash  %s%s\n", h.workloadHash.c_str(),
+                    specFor(h) ? "" : "  (not in this registry)");
+        std::printf("  phase          %u\n", h.phase);
         std::printf("  records        %llu\n",
-                    static_cast<unsigned long long>(t.header.records));
+                    static_cast<unsigned long long>(h.records));
         std::printf("  decoded_bytes  %llu\n",
                     static_cast<unsigned long long>(decoded_bytes));
         std::printf("  program_length %llu\n",
-                    static_cast<unsigned long long>(
-                        t.header.programLength));
+                    static_cast<unsigned long long>(h.programLength));
         if (bench_decode == 0)
             continue;
         MmapFile file;
@@ -145,7 +145,7 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
                     static_cast<unsigned long long>(best),
                     static_cast<double>(total) /
                         static_cast<double>(bench_decode),
-                    best_s > 0.0 ? static_cast<double>(t.header.records) /
+                    best_s > 0.0 ? static_cast<double>(h.records) /
                                        best_s / 1e6
                                  : 0.0,
                     best_s > 0.0 ? static_cast<double>(decoded_bytes) /
@@ -160,26 +160,25 @@ cmdDump(const std::vector<std::string> &files, u64 limit)
 {
     bool ok = true;
     for (const std::string &path : files) {
-        wl::TraceParse t = wl::readTraceFile(path);
-        if (!t.ok()) {
-            std::fprintf(stderr, "rsep_trace: %s\n", t.error.c_str());
+        wl::DecodedTraceParse d = wl::loadDecodedTrace(path);
+        if (!d.ok()) {
+            std::fprintf(stderr, "rsep_trace: %s\n", d.error.c_str());
             ok = false;
             continue;
         }
+        const wl::DecodedTrace &t = *d.trace;
         std::optional<wl::WorkloadSpec> spec = specFor(t.header);
         std::optional<wl::Workload> w;
         if (spec)
             w = wl::buildWorkload(*spec);
         std::printf("%s: %s phase %u, %zu records\n", path.c_str(),
-                    t.header.workload.c_str(), t.header.phase,
-                    t.records.size());
-        u64 shown = 0;
-        for (const wl::DynRecord &r : t.records) {
+                    t.header.workload.c_str(), t.header.phase, t.size());
+        for (size_t shown = 0; shown < t.size(); ++shown) {
             if (limit && shown >= limit) {
-                std::printf("  ... (%zu more)\n",
-                            t.records.size() - static_cast<size_t>(shown));
+                std::printf("  ... (%zu more)\n", t.size() - shown);
                 break;
             }
+            const wl::DynRecord r = t.recordAt(shown);
             std::string disasm =
                 w && r.staticIdx < w->program.size()
                     ? w->program.disasm(r.staticIdx)
@@ -191,7 +190,6 @@ cmdDump(const std::vector<std::string> &files, u64 limit)
                         static_cast<unsigned long long>(r.result),
                         static_cast<unsigned long long>(r.effAddr),
                         r.taken ? "T" : "-", disasm.c_str());
-            ++shown;
         }
     }
     return ok ? 0 : 1;
@@ -207,13 +205,14 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
                          msg.c_str());
             ok = false;
         };
-        wl::TraceParse t = wl::readTraceFile(path);
-        if (!t.ok()) {
-            std::fprintf(stderr, "rsep_trace: %s\n", t.error.c_str());
+        wl::DecodedTraceParse d = wl::loadDecodedTrace(path);
+        if (!d.ok()) {
+            std::fprintf(stderr, "rsep_trace: %s\n", d.error.c_str());
             ok = false;
             continue;
         }
-        if (t.records.size() != t.header.records) {
+        const wl::DecodedTrace &t = *d.trace;
+        if (t.size() != t.header.records) {
             bad("record count mismatch");
             continue;
         }
@@ -237,9 +236,9 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             continue;
         }
         bool bounds_ok = true;
-        for (size_t i = 0; i < t.records.size() && bounds_ok; ++i)
-            if (t.records[i].staticIdx >= w.program.size() ||
-                t.records[i].nextIdx >= w.program.size()) {
+        for (size_t i = 0; i < t.size() && bounds_ok; ++i)
+            if (t.staticIdx[i] >= w.program.size() ||
+                t.nextIdx[i] >= w.program.size()) {
                 bad("record " + std::to_string(i) +
                     " indexes outside the program");
                 bounds_ok = false;
@@ -251,8 +250,8 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             emu.resetArchState();
             w.init(emu, t.header.phase);
             bool match = true;
-            for (size_t i = 0; i < t.records.size() && match; ++i) {
-                const wl::DynRecord &want = t.records[i];
+            for (size_t i = 0; i < t.size() && match; ++i) {
+                const wl::DynRecord want = t.recordAt(i);
                 const wl::DynRecord &got = emu.step();
                 if (got.staticIdx != want.staticIdx ||
                     got.nextIdx != want.nextIdx ||
@@ -267,8 +266,7 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             if (!match)
                 continue;
         }
-        std::printf("%s: OK (%zu records%s)\n", path.c_str(),
-                    t.records.size(),
+        std::printf("%s: OK (%zu records%s)\n", path.c_str(), t.size(),
                     deep ? ", deep-verified against live emulation" : "");
     }
     return ok ? 0 : 1;
