@@ -64,7 +64,7 @@ MmapFile::open(const std::string &path, std::string *err)
     }
     size_t size = static_cast<size_t>(st.st_size);
 
-    if (size > 0 && !mmapDisabled()) {
+    if (size >= minMapBytes && !mmapDisabled()) {
         void *p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
         if (p != MAP_FAILED) {
             // Trace decode is a single forward pass; tell the kernel.

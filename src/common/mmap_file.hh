@@ -8,12 +8,13 @@
  * never copy the bytes through userspace buffers (cf. ifstream +
  * stringstream, which pays two full copies per read).
  *
- * Fallback semantics: when mmap is unavailable — zero-length files
- * (mmap(0) is EINVAL), filesystems that refuse mappings, or the
- * `RSEP_NO_MMAP` environment override — the file is read() into a heap
- * buffer instead and the view points at that. Callers cannot tell the
- * difference except through mapped(); every consumer must work
- * identically on both paths (pinned by tests/test_trace_cache.cc).
+ * Fallback semantics: when mmap is unavailable or not worth it — files
+ * under minMapBytes (zero-length ones included: mmap(0) is EINVAL),
+ * filesystems that refuse mappings, or the `RSEP_NO_MMAP` environment
+ * override — the file is read() into a heap buffer instead and the view
+ * points at that. Callers cannot tell the difference except through
+ * mapped(); every consumer must work identically on both paths (pinned
+ * by tests/test_trace_cache.cc).
  */
 
 #ifndef RSEP_COMMON_MMAP_FILE_HH
@@ -29,6 +30,16 @@ namespace rsep
 class MmapFile
 {
   public:
+    /**
+     * Smaller files are read(), not mapped. A result-cache record is a
+     * few KiB, and mapping it costs more than reading it: with every
+     * file mapped, perfbench serve-mixed (which loads one `.cell` per
+     * cell of every request) read hit_p50 ~12% higher, in each of six
+     * rounds on a 4-core host. Recorded traces are larger and stay
+     * mapped.
+     */
+    static constexpr size_t minMapBytes = 64 * 1024;
+
     MmapFile() = default;
     ~MmapFile() { close(); }
 

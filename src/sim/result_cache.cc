@@ -1,43 +1,19 @@
 #include "sim/result_cache.hh"
 
-#include <algorithm>
 #include <bit>
-#include <cctype>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include <unistd.h>
-
 #include "common/env.hh"
-#include "common/fault.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
+#include "common/sealed_file.hh"
 #include "core/pipeline.hh"
 
 namespace fs = std::filesystem;
 
 namespace rsep::sim
 {
-
-namespace
-{
-
-/** Benchmark names are plain tokens, but never trust a path element. */
-std::string
-sanitized(const std::string &s)
-{
-    std::string out;
-    for (char c : s)
-        out += (std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-                c == '-' || c == '+' || c == '_')
-                   ? c
-                   : '_';
-    return out.empty() ? std::string("_") : out;
-}
-
-} // namespace
 
 ResultCache::ResultCache(std::string dir) : root(std::move(dir))
 {
@@ -57,7 +33,7 @@ ResultCache::cellPath(const CacheKey &key) const
 {
     // One subdirectory per benchmark keeps directory sizes sane on a
     // full 29-benchmark x many-scenario sweep.
-    return root + "/" + sanitized(key.benchmark) + "/" + key.configHash +
+    return root + "/" + pathToken(key.benchmark) + "/" + key.configHash +
            "-p" + std::to_string(key.phase) + "-s" + hex64(key.seed) +
            ".cell";
 }
@@ -252,14 +228,13 @@ ResultCache::load(const CacheKey &key)
     if (!enabled())
         return std::nullopt;
     std::string path = cellPath(key);
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    MmapFile file;
+    std::string_view text;
+    std::string io_err;
+    if (!readFile(path, file, text, io_err)) {
         ++nMisses;
         return std::nullopt;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string text = buf.str();
 
     auto quarantine = [&](const std::string &why) {
         std::error_code ec;
@@ -278,13 +253,12 @@ ResultCache::load(const CacheKey &key)
 
     // Outer envelope: "<body>checksum = <fnv1a64(body)>\n".
     size_t mark = text.rfind("checksum = ");
-    if (mark == std::string::npos || text.back() != '\n')
+    if (mark == std::string_view::npos || text.back() != '\n')
         return quarantine("missing checksum");
-    std::string body = text.substr(0, mark);
+    std::string body(text.substr(0, mark));
+    std::string sum(text.substr(mark + 11, text.size() - mark - 12));
     u64 want = 0;
-    if (!parseHex64(text.substr(mark + 11, text.size() - mark - 12),
-                    want) ||
-        fnv1a64(body) != want)
+    if (!parseHex64(sum, want) || fnv1a64(body) != want)
         return quarantine("checksum mismatch");
 
     PhaseResult pr;
@@ -300,79 +274,15 @@ ResultCache::store(const CacheKey &key, const PhaseResult &pr)
 {
     if (!enabled())
         return false;
-    std::string path = cellPath(key);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec) {
-        ++nIoErrors;
-        return false;
-    }
-
     std::string body = serializeRecord(key, pr);
-    std::string text = body + "checksum = " + hex64(fnv1a64(body)) + "\n";
-
-    // "cache.write" faults: an errno mode behaves as the write failing
-    // (store reports false, the cell stays uncached); short leaves a
-    // torn temp file behind; truncate *publishes* the torn record —
-    // simulating silent on-disk corruption the next load() must catch
-    // and quarantine.
-    fault::Injected winj = fault::point("cache.write");
-    if (winj.kind == fault::Kind::Delay) {
-        fault::sleepMicros(winj.amount);
-        winj.kind = fault::Kind::None;
-    }
-    if (winj.kind == fault::Kind::Errno) {
+    // "cache.write": errno and short modes fail the store (the cell
+    // stays uncached); truncate *publishes* the torn record, silent
+    // on-disk corruption the next load() must catch and quarantine.
+    // "cache.rename" fails the publish step itself.
+    if (!publishFile(cellPath(key),
+                     body + "checksum = " + hex64(fnv1a64(body)) + "\n",
+                     "cache.write", "cache.rename", nullptr)) {
         ++nIoErrors;
-        return false;
-    }
-    std::string_view out_text = text;
-    if (winj.kind == fault::Kind::ShortWrite ||
-        winj.kind == fault::Kind::Truncate)
-        out_text = out_text.substr(
-            0, std::min<size_t>(winj.amount, out_text.size()));
-
-    // Atomic publish: a concurrent reader sees the old record or the
-    // new one, never a torn write. The temp name is per-process so
-    // overlapping shards pointed at one directory cannot collide.
-    std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<unsigned long>(
-                             ::getpid()));
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            ++nIoErrors;
-            return false;
-        }
-        os << out_text;
-        os.flush();
-        if (!os) {
-            ++nIoErrors;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    if (winj.kind == fault::Kind::ShortWrite) {
-        ++nIoErrors;
-        fs::remove(tmp, ec);
-        return false;
-    }
-
-    fault::Injected rinj = fault::point("cache.rename");
-    if (rinj.kind == fault::Kind::Delay) {
-        fault::sleepMicros(rinj.amount);
-        rinj.kind = fault::Kind::None;
-    }
-    if (rinj.kind != fault::Kind::None) {
-        // Any non-delay mode fails the publish step itself.
-        ++nIoErrors;
-        fs::remove(tmp, ec);
-        return false;
-    }
-
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        ++nIoErrors;
-        fs::remove(tmp, ec);
         return false;
     }
     ++nStores;

@@ -1,68 +1,25 @@
 #include "sim/sample_io.hh"
 
-#include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <system_error>
-
-#include <unistd.h>
 
 #include "common/env.hh"
-#include "common/fault.hh"
 #include "common/fnv.hh"
-
-namespace fs = std::filesystem;
+#include "common/sealed_file.hh"
 
 namespace rsep::sim
 {
 
-namespace
-{
-
-/** Path-component sanitizer (cf. trace_io.cc): never trust a name. */
 std::string
-sanitized(const std::string &s)
+samplePath(const std::string &dir, const std::string &workload,
+           const std::string &config_hash, u32 phase)
 {
-    std::string out;
-    for (char c : s)
-        out += (std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-                c == '-' || c == '+' || c == '_' || c == '@')
-                   ? c
-                   : '_';
-    return out.empty() ? std::string("_") : out;
-}
-
-void
-putVarint(std::string &s, u64 v)
-{
-    while (v >= 0x80) {
-        s.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    s.push_back(static_cast<char>(v));
-}
-
-bool
-getVarint(const char *&p, const char *end, u64 &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            return false;
-        u8 byte = static_cast<u8>(*p++);
-        v |= static_cast<u64>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-    }
-    return false; // over-long varint.
+    return dir + "/" + pathToken(workload) + "-" + pathToken(config_hash) +
+           "-p" + std::to_string(phase) + sampleFileExtension;
 }
 
 std::string
-encodeRows(const std::vector<core::StatSample> &rows)
+serializeSamples(const SampleSeriesHeader &header,
+                 const std::vector<core::StatSample> &rows)
 {
     std::string payload;
     payload.reserve(rows.size() * core::sampleFieldCount());
@@ -71,24 +28,6 @@ encodeRows(const std::vector<core::StatSample> &rows)
             row, [&](const char *, u64 &f, core::SampleFieldKind) {
                 putVarint(payload, f);
             });
-    return payload;
-}
-
-} // namespace
-
-std::string
-samplePath(const std::string &dir, const std::string &workload,
-           const std::string &config_hash, u32 phase)
-{
-    return dir + "/" + sanitized(workload) + "-" + sanitized(config_hash) +
-           "-p" + std::to_string(phase) + sampleFileExtension;
-}
-
-std::string
-serializeSamples(const SampleSeriesHeader &header,
-                 const std::vector<core::StatSample> &rows)
-{
-    std::string payload = encodeRows(rows);
     std::ostringstream os;
     os << "rsep-samples " << header.version << "\n";
     os << "workload = " << header.workload << "\n";
@@ -98,10 +37,7 @@ serializeSamples(const SampleSeriesHeader &header,
     os << "period = " << header.period << "\n";
     os << "fields = " << core::sampleFieldNames() << "\n";
     os << "rows = " << rows.size() << "\n";
-    os << "payload\n";
-    os << payload;
-    os << "\nchecksum = " << hex64(fnv1a64(payload)) << "\n";
-    return os.str();
+    return sealImage(os.str(), payload);
 }
 
 SamplesParse
@@ -115,103 +51,59 @@ parseSamplesText(std::string_view text, const std::string &origin,
         return out;
     };
 
-    // ---- text header (line oriented, fixed order) ----
-    size_t pos = 0;
-    auto nextLine = [&](std::string_view &line) {
-        size_t nl = text.find('\n', pos);
-        if (nl == std::string_view::npos)
-            return false;
-        line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return true;
-    };
-    auto valueOf = [](std::string_view l, const char *k, std::string &v) {
-        std::string prefix = std::string(k) + " = ";
-        if (l.substr(0, prefix.size()) != prefix)
-            return false;
-        v = std::string(l.substr(prefix.size()));
-        return true;
-    };
-
-    std::string_view line;
+    SealedReader in(text);
     std::string v;
-    if (!nextLine(line) || line.substr(0, 13) != "rsep-samples ")
+    u64 ver = 0;
+    if (!in.magic("rsep-samples", v))
         return fail("not a sample file");
-    {
-        u64 ver = 0;
-        if (!parseU64(std::string(line.substr(13)), ver) ||
-            ver != core::sampleSchemaVersion)
-            return fail("unsupported sample schema version");
-        out.header.version = static_cast<unsigned>(ver);
-    }
-    if (!nextLine(line) || !valueOf(line, "workload", v) || v.empty())
+    if (!parseU64(v, ver) || ver != core::sampleSchemaVersion)
+        return fail("unsupported sample schema version");
+    out.header.version = static_cast<unsigned>(ver);
+    if (!in.field("workload", v) || v.empty())
         return fail("bad workload header");
     out.header.workload = v;
-    if (!nextLine(line) || !valueOf(line, "scenario", v))
+    if (!in.field("scenario", v))
         return fail("bad scenario header");
     out.header.scenario = v;
     u64 dummy = 0;
-    if (!nextLine(line) || !valueOf(line, "config_hash", v) ||
-        v.size() != 16 || !parseHex64(v, dummy))
+    if (!in.field("config_hash", v) || v.size() != 16 ||
+        !parseHex64(v, dummy))
         return fail("bad config_hash header");
     out.header.configHash = v;
     u64 wide = 0;
-    if (!nextLine(line) || !valueOf(line, "phase", v) ||
-        !parseU64(v, wide) || wide > 0xffffffffull)
+    if (!in.field("phase", v) || !parseU64(v, wide) || wide > 0xffffffffull)
         return fail("bad phase header");
     out.header.phase = static_cast<u32>(wide);
-    if (!nextLine(line) || !valueOf(line, "period", v) ||
-        !parseU64(v, out.header.period) || out.header.period == 0)
+    if (!in.field("period", v) || !parseU64(v, out.header.period) ||
+        out.header.period == 0)
         return fail("bad period header");
     // The field list pins what the payload columns mean: a reader
     // compiled with a different schema must not guess.
-    if (!nextLine(line) || !valueOf(line, "fields", v) ||
-        v != core::sampleFieldNames())
+    if (!in.field("fields", v) || v != core::sampleFieldNames())
         return fail("field list does not match this build's sample "
                     "schema");
-    if (!nextLine(line) || !valueOf(line, "rows", v) ||
-        !parseU64(v, out.header.rows))
+    if (!in.field("rows", v) || !parseU64(v, out.header.rows))
         return fail("bad rows header");
-    if (!nextLine(line) || line != "payload")
-        return fail("missing payload marker");
+    if (std::string why = in.endHeader(); !why.empty())
+        return fail(why);
     if (header_only)
         return out;
 
-    // ---- binary payload + trailing checksum ----
-    // "\nchecksum = " + 16 hex + "\n"
-    constexpr size_t trailerBytes = 12 + 16 + 1;
-    if (text.size() < pos || text.size() - pos < trailerBytes)
-        return fail("truncated trailer: " +
-                    std::to_string(text.size() < pos
-                                       ? 0
-                                       : text.size() - pos) +
-                    " bytes after the header (offset " +
-                    std::to_string(pos) + "), need at least " +
-                    std::to_string(trailerBytes) +
-                    " for the checksum trailer");
-    u64 payload_bytes = text.size() - pos - trailerBytes;
     // Every field takes at least one varint byte; reject absurd row
     // counts before reserve() can abort on a corrupt header.
-    size_t fields = core::sampleFieldCount();
-    if (out.header.rows > payload_bytes / (fields ? fields : 1) + 1)
-        return fail("truncated payload: row count " +
-                    std::to_string(out.header.rows) +
-                    " exceeds the available bytes");
-    std::string_view payload = text.substr(pos, payload_bytes);
-    std::string_view trailer = text.substr(pos + payload_bytes);
-    u64 want = 0;
-    if (trailer.substr(0, 12) != "\nchecksum = " || trailer.back() != '\n' ||
-        !parseHex64(std::string(trailer.substr(12, 16)), want))
-        return fail("truncated samples or missing checksum trailer at "
-                    "offset " +
-                    std::to_string(pos + payload_bytes));
-    u64 got = fnv1a64(payload);
-    if (got != want)
-        return fail("checksum mismatch over " +
-                    std::to_string(payload_bytes) +
-                    " payload bytes at offset " + std::to_string(pos) +
-                    ": expected " + hex64(want) + ", computed " +
-                    hex64(got));
+    const size_t fields = core::sampleFieldCount();
+    auto fits = [&](u64 payload_bytes) -> std::string {
+        if (out.header.rows <= payload_bytes / (fields ? fields : 1) + 1)
+            return {};
+        return "truncated payload: row count " +
+               std::to_string(out.header.rows) +
+               " exceeds the available bytes";
+    };
+    std::string_view payload;
+    u64 checksum = 0;
+    if (std::string why = in.payload("samples", fits, payload, checksum);
+        !why.empty())
+        return fail(why);
 
     const char *p = payload.data();
     const char *end = p + payload.size();
@@ -241,15 +133,11 @@ parseSamplesText(std::string_view text, const std::string &origin,
 SamplesParse
 parseSamplesFile(const std::string &path, bool header_only)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        SamplesParse out;
-        out.error = path + ": cannot open";
+    SamplesParse out;
+    MmapFile file;
+    std::string_view text;
+    if (!readFile(path, file, text, out.error))
         return out;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string text = buf.str();
     return parseSamplesText(text, path, header_only);
 }
 
@@ -257,66 +145,12 @@ bool
 writeSamplesFile(const std::string &path, const SampleSeriesHeader &header,
                  const std::vector<core::StatSample> &rows, std::string *err)
 {
-    auto fail = [&](const std::string &msg) {
-        if (err)
-            *err = path + ": " + msg;
-        return false;
-    };
-    std::error_code ec;
-    fs::path parent = fs::path(path).parent_path();
-    if (!parent.empty()) {
-        fs::create_directories(parent, ec);
-        if (ec)
-            return fail(ec.message());
-    }
     SampleSeriesHeader h = header;
     h.rows = rows.size();
-    std::string text = serializeSamples(h, rows);
-
-    // "rts.flush" faults: errno modes fail the flush; short fails it
-    // leaving no file; truncate *publishes* a torn series — the next
-    // parse must report the truncation, never assert.
-    std::string_view out_text = text;
-    fault::Injected winj = fault::point("rts.flush");
-    if (winj.kind == fault::Kind::Delay)
-        fault::sleepMicros(winj.amount);
-    else if (winj.kind == fault::Kind::Errno)
-        return fail(std::string("injected ") + std::strerror(winj.err));
-    else if (winj.kind == fault::Kind::ShortWrite ||
-             winj.kind == fault::Kind::Truncate)
-        out_text = out_text.substr(
-            0, std::min<size_t>(winj.amount, out_text.size()));
-
-    // Atomic publish (cf. writeTraceFile): pid + process-wide sequence
-    // number in the temp name — a matrix run flushes many cells'
-    // series from one process.
-    static std::atomic<u64> writerSeq{0};
-    std::string tmp = path + ".tmp." +
-                      std::to_string(static_cast<unsigned long>(::getpid())) +
-                      "." + std::to_string(++writerSeq);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return fail("cannot open temp file for writing");
-        os << out_text;
-        os.flush();
-        if (!os) {
-            fs::remove(tmp, ec);
-            return fail("write failed");
-        }
-    }
-    if (winj.kind == fault::Kind::ShortWrite) {
-        fs::remove(tmp, ec);
-        return fail("injected short write (" +
-                    std::to_string(out_text.size()) + " of " +
-                    std::to_string(text.size()) + " bytes)");
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return fail("rename failed");
-    }
-    return true;
+    // An "rts.flush" truncate publishes a torn series: the next parse
+    // must report the truncation, never assert.
+    return publishFile(path, serializeSamples(h, rows), "rts.flush",
+                       nullptr, err);
 }
 
 void

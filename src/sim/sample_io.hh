@@ -1,12 +1,12 @@
 /**
  * @file
  * `.rts` time-series sample files: the on-disk form of one cell's
- * StatSample series (see core/sampler.hh). The envelope mirrors the
- * `.rtr` trace format — a line-oriented text header naming the cell
- * identity, a LEB128-varint binary payload, and a trailing FNV-1a
- * checksum — and writes publish atomically (temp + rename), so a
- * concurrent reader sees the old series or the new one, never a torn
- * file.
+ * StatSample series (see core/sampler.hh). The file is a sealed image
+ * of the shared file layer (common/sealed_file.hh), like a `.rtr`
+ * trace: a line-oriented text header naming the cell identity, a
+ * LEB128-varint binary payload, and a trailing FNV-1a checksum. Writes
+ * publish atomically (temp + rename), so a concurrent reader sees the
+ * old series or the new one, never a torn file.
  *
  * The header echoes the schema version AND the comma-joined field list
  * the payload was written under; a reader whose compiled-in schema

@@ -119,8 +119,7 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
                     std::chrono::steady_clock::now() - tload)
                     .count());
             if (!cached.ok())
-                rsep_fatal("replay: %s (re-record the trace)",
-                           cached.error.c_str());
+                rsep_fatal("replay: %s", cached.error.c_str());
             const wl::TraceHeader &header = cached.trace->header;
             if (header.workload != bench_name || header.phase != phase ||
                 header.workloadHash != wl::workloadHash(*spec))

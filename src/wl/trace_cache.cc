@@ -3,7 +3,7 @@
 #include <chrono>
 
 #include "common/fnv.hh"
-#include "common/mmap_file.hh"
+#include "common/sealed_file.hh"
 
 namespace rsep::wl
 {
@@ -20,23 +20,6 @@ elapsedMicros(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
-/**
- * Read the payload checksum out of the fixed-size trailer
- * ("\nchecksum = " + 16 hex + "\n") without parsing the file. False on
- * anything malformed — the caller falls through to the full decoder,
- * which produces the proper diagnostic.
- */
-bool
-trailerChecksum(std::string_view image, u64 &out)
-{
-    constexpr size_t trailerBytes = 12 + 16 + 1;
-    if (image.size() < trailerBytes)
-        return false;
-    std::string_view t = image.substr(image.size() - trailerBytes);
-    return t.substr(0, 12) == "\nchecksum = " && t.back() == '\n' &&
-           parseHex64(std::string(t.substr(12, 16)), out);
-}
-
 } // namespace
 
 DecodedTraceCache::Result
@@ -44,21 +27,17 @@ DecodedTraceCache::get(const std::string &path)
 {
     Result out;
 
-    // Map the file up front: a hit touches only the trailer page, a
-    // miss decodes straight from this same view.
+    // Open the file up front: a hit on a mapped trace touches only the
+    // trailer page, a miss decodes straight from this same view.
     MmapFile file;
-    std::string io_err;
-    if (!file.open(path, &io_err)) {
-        out.error = std::move(io_err);
+    std::string_view image;
+    if (!readFile(path, file, image, out.error, "trace.read"))
         return out;
-    }
     u64 checksum = 0;
-    const bool keyed = trailerChecksum(file.view(), checksum);
     // Unkeyable images (truncated/corrupt) are decoded uncached so the
     // decoder's diagnostic comes back verbatim.
-    if (!keyed) {
-        DecodedTraceParse parse = decodeTraceImage(file.view(), path);
-        out.error = parse.error;
+    if (!peekChecksum(image, checksum)) {
+        out.error = decodeTraceImage(image, path).error;
         return out;
     }
     const std::string key = path + '\0' + hex64(checksum);
@@ -96,7 +75,7 @@ DecodedTraceCache::get(const std::string &path)
     lock.unlock();
 
     auto t0 = std::chrono::steady_clock::now();
-    DecodedTraceParse parse = decodeTraceImage(file.view(), path);
+    DecodedTraceParse parse = decodeTraceImage(image, path);
     const u64 micros = elapsedMicros(t0);
 
     lock.lock();

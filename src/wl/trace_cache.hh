@@ -14,7 +14,10 @@
  * fixed-size trailer of the (mmap'd) file on every lookup, so a trace
  * overwritten on disk — re-recorded under a different sizing, say —
  * misses naturally instead of replaying stale records. The lookup cost
- * on a hit is one open + one trailer page touch, not a decode.
+ * on a hit is one open + one trailer page touch, not a decode (a trace
+ * under MmapFile::minMapBytes is not mapped but read whole). The open
+ * is the shared file read (common/sealed_file.hh) with the `trace.read`
+ * fault point, as in loadDecodedTrace.
  *
  * Concurrency: one mutex guards the map; a cold lookup inserts an
  * in-flight marker, decodes OUTSIDE the lock, then publishes and

@@ -38,7 +38,10 @@
  * straight off the view into the SoA DecodedTrace — the one decoded
  * form, used by replay and tooling alike.
  *
- * Files are written atomically (temp + rename). A reader rejects —
+ * The envelope, the varints, the file read and the atomic publish
+ * (temp + rename) come from the shared file layer
+ * (common/sealed_file.hh); this module owns the header keys and the
+ * record codec. A reader rejects —
  * with a diagnostic, never a partial result — version or checksum
  * mismatches, truncation, and malformed headers; replay additionally
  * validates the workload identity and program-length echo against the

@@ -41,6 +41,7 @@
 #include "sim/sample_io.hh"
 #include "sim/scenario.hh"
 #include "sim/stat_export.hh"
+#include "wl/trace_cache.hh"
 #include "wl/trace_io.hh"
 
 namespace rsep
@@ -303,6 +304,19 @@ TEST_F(FaultTest, TraceReadAndDecodeFaultsAreDiagnosed)
     wl::DecodedTraceParse ok = wl::loadDecodedTrace(path);
     ASSERT_TRUE(ok.ok()) << ok.error;
     EXPECT_EQ(ok.trace->header.records, 32u);
+
+    // Driver and daemon replay read through the shared trace cache:
+    // trace.read covers that open too, and an unarmed retry is clean.
+    wl::traceCache().clear();
+    arm("trace.read:fail=eio");
+    wl::DecodedTraceCache::Result cached = wl::traceCache().get(path);
+    ASSERT_FALSE(cached.ok());
+    EXPECT_NE(cached.error.find("trace.read: injected"), std::string::npos)
+        << cached.error;
+    wl::DecodedTraceCache::Result clean = wl::traceCache().get(path);
+    ASSERT_TRUE(clean.ok()) << clean.error;
+    EXPECT_EQ(clean.trace->header.records, 32u);
+    wl::traceCache().clear();
     fs::remove_all(dir);
 }
 

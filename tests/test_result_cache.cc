@@ -13,10 +13,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
 #include "common/fault.hh"
+#include "common/fnv.hh"
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
@@ -102,6 +104,91 @@ TEST(ResultCache, RecordRoundTripIsExact)
     EXPECT_TRUE(back.fromCache);
     expectSamePhase(pr, back);
     EXPECT_EQ(back.wallMicros, pr.wallMicros);
+}
+
+/** A PhaseResult with every recorded field set, without simulating;
+ *  @p engine_entries varies the record's length. */
+PhaseResult
+fixedResult(u64 engine_entries)
+{
+    PhaseResult pr;
+    pr.ipc = 1.2345;
+    pr.wallMicros = 6789;
+    u64 v = 1;
+    visitStats(pr.stats, [&](const char *, StatCounter &c) { c += v++ * 31; });
+    StatHistogram &h = pr.stats.commitGroupProducers;
+    for (size_t b = 0; b < h.buckets(); ++b)
+        h.sample(b, b + 1);
+    for (u64 i = 0; i < engine_entries; ++i)
+        pr.engineStats.emplace_back("engine.rsep.c" + std::to_string(i),
+                                    i * 1000 + 7);
+    return pr;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
+}
+
+TEST(ResultCache, OnDiskBytesArePinned)
+{
+    // A round trip cannot see a change made to the writer and the
+    // reader alike, and a changed record misses every existing cache.
+    // These constants pin the bytes themselves.
+    TempDir tmp;
+    ResultCache cache(tmp.path);
+    CacheKey key{"mcf", "0123456789abcdef", 1, 0x5eed};
+    ASSERT_TRUE(cache.store(key, fixedResult(3)));
+    std::string path = cache.cellPath(key);
+    EXPECT_EQ(path,
+              tmp.path + "/mcf/0123456789abcdef-p1-s0000000000005eed.cell");
+    std::string text = slurp(path);
+    EXPECT_EQ(text.size(), 1386u);
+    EXPECT_EQ(hex64(fnv1a64(text)), "4adb2858295c2a58");
+
+    // A custom workload's `name@hash` key keeps its '@' in the
+    // directory name, as trace and sample paths do.
+    CacheKey custom{"foo@0123456789abcdef", "0123456789abcdef", 1, 0x5eed};
+    EXPECT_EQ(cache.cellPath(custom),
+              tmp.path + "/foo@0123456789abcdef/"
+                         "0123456789abcdef-p1-s0000000000005eed.cell");
+}
+
+TEST(ResultCache, ConcurrentSameKeyStoresNeverTearOrFail)
+{
+    // Threads of one process storing one key (two daemon clients
+    // submitting the same novel sweep, two arms sharing a config hash)
+    // must each publish a whole record through a temp file of their own.
+    TempDir tmp;
+    ResultCache cache(tmp.path);
+    constexpr int threads = 4, stores = 200, keys = 2;
+    auto keyOf = [](int k) {
+        return CacheKey{"mcf", "0123456789abcdef", static_cast<u32>(k),
+                        0x5eed};
+    };
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t)
+        pool.emplace_back([&, t] {
+            // A different record length per thread: interleaved writes
+            // to one temp file cannot come out whole by accident.
+            PhaseResult pr = fixedResult(static_cast<u64>(t) * 5);
+            for (int i = 0; i < stores; ++i) {
+                cache.store(keyOf(i % keys), pr);
+                cache.load(keyOf((i + t) % keys));
+            }
+        });
+    for (std::thread &th : pool)
+        th.join();
+    ResultCache::Counters c = cache.counters();
+    EXPECT_EQ(c.ioErrors, 0u);
+    EXPECT_EQ(c.quarantined, 0u);
+    EXPECT_EQ(c.stores, static_cast<u64>(threads * stores));
+    for (int k = 0; k < keys; ++k)
+        EXPECT_TRUE(cache.load(keyOf(k)).has_value()) << "key " << k;
 }
 
 TEST(ResultCache, HitMissAndKeyEcho)

@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include "common/fnv.hh"
 #include "core/sampler.hh"
 #include "sim/runner.hh"
 #include "sim/sample_io.hh"
@@ -215,6 +216,23 @@ TEST(SampleIo, RoundTripsExactly)
     SampleSeriesHeader h2 = p.header;
     h2.rows = 0; // writeSamplesFile recomputes; serialize uses rows().
     EXPECT_EQ(serializeSamples(h2, p.rows), text);
+}
+
+TEST(SampleIo, OnDiskBytesArePinned)
+{
+    // A round trip cannot see a change made to the writer and the
+    // reader alike; these constants pin the bytes themselves.
+    SampleSeriesHeader h = testHeader();
+    std::string image = serializeSamples(h, testRows());
+    EXPECT_EQ(image.size(), 880u);
+    EXPECT_EQ(hex64(fnv1a64(image)), "746e39218f5efb6a");
+
+    TempDir dir;
+    std::string path =
+        samplePath(dir.path, h.workload, h.configHash, h.phase);
+    std::string err;
+    ASSERT_TRUE(writeSamplesFile(path, h, testRows(), &err)) << err;
+    EXPECT_EQ(slurp(path), image);
 }
 
 TEST(SampleIo, WriteAndParseFile)

@@ -101,6 +101,20 @@ writeSample(const std::string &dir, size_t records, u32 phase = 2)
     return path;
 }
 
+/** Enough sample records for the file to pass MmapFile::minMapBytes. */
+constexpr size_t mappedRecords = 20000;
+
+/** Tests of the mmap path must really map: fail when @p path is read. */
+void
+expectMapped(const std::string &path)
+{
+    MmapFile f;
+    std::string err;
+    ASSERT_TRUE(f.open(path, &err)) << err;
+    EXPECT_TRUE(f.mapped()) << path << ": " << f.view().size()
+                            << " bytes, below MmapFile::minMapBytes";
+}
+
 // -------------------------------------------------------- MmapFile
 
 TEST(MmapFile, MapsRegularFilesAndReportsErrors)
@@ -124,6 +138,7 @@ TEST(MmapFile, MapsRegularFilesAndReportsErrors)
     writeFile(path2, "tiny");
     ASSERT_TRUE(f.open(path2, &err)) << err;
     EXPECT_EQ(f.view(), "tiny");
+    EXPECT_FALSE(f.mapped()); // small files are read, not mapped.
 
     std::string missing_err;
     MmapFile g;
@@ -172,25 +187,34 @@ TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
     // the binary) with the override set before the first open.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     std::string dir = scratchDir("mmap_nofallback");
-    std::string path = writeSample(dir, 500);
+    std::string path = writeSample(dir, mappedRecords);
     std::string expected = slurp(path);
+    auto readWithoutMmap = [&] {
+        ::setenv("RSEP_NO_MMAP", "1", 1);
+        MmapFile f;
+        std::string err;
+        if (!f.open(path, &err))
+            return 2;
+        if (f.mapped()) // override must force the read path.
+            return 3;
+        if (f.view() != std::string_view(expected))
+            return 4;
+        // The fallback feeds the same bytes through the same decoder:
+        // the decode must succeed identically.
+        wl::DecodedTraceParse p = wl::decodeTraceImage(f.view(), path);
+        return p.ok() && p.trace->size() == mappedRecords ? 0 : 5;
+    };
     EXPECT_EXIT(
         {
-            ::setenv("RSEP_NO_MMAP", "1", 1);
-            MmapFile f;
-            std::string err;
-            if (!f.open(path, &err))
-                ::exit(2);
-            if (f.mapped()) // override must force the read path.
-                ::exit(3);
-            if (f.view() != std::string_view(expected))
-                ::exit(4);
-            // The fallback feeds the same bytes through the same
-            // decoder: the decode must succeed identically.
-            wl::DecodedTraceParse p = wl::decodeTraceImage(f.view(), path);
-            ::exit(p.ok() && p.trace->size() == 500 ? 0 : 5);
+            int code = readWithoutMmap();
+            fs::remove_all(dir); // the child's own scratch dir.
+            ::exit(code);
         },
         ::testing::ExitedWithCode(0), "");
+    // Without the override the same file maps, so exit 3 above means
+    // something. Checked after the death test: an open before it would
+    // resolve the override in the re-executed child first.
+    expectMapped(path);
     fs::remove_all(dir);
 }
 
@@ -199,7 +223,8 @@ TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
 TEST(TraceZeroCopy, MmapAndStreamDecodesAreByteIdentical)
 {
     std::string dir = scratchDir("zc_identity");
-    std::string path = writeSample(dir, 800);
+    std::string path = writeSample(dir, mappedRecords);
+    expectMapped(path);
     // Stream read (the pre-mmap data path) vs the MmapFile reader.
     wl::DecodedTraceParse viaStream = wl::decodeTraceImage(slurp(path), path);
     wl::DecodedTraceParse viaMmap = wl::loadDecodedTrace(path);
@@ -224,12 +249,14 @@ TEST(TraceZeroCopy, MmapAndStreamDecodesAreByteIdentical)
 TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
 {
     std::string dir = scratchDir("zc_corrupt");
-    std::string path = writeSample(dir, 300);
+    std::string path = writeSample(dir, mappedRecords);
     std::string image = slurp(path);
 
     auto errOfFile = [&](const std::string &tag, std::string img) {
         std::string p = dir + "/" + tag + ".rtr";
         writeFile(p, img);
+        if (img.size() >= MmapFile::minMapBytes)
+            expectMapped(p);
         wl::DecodedTraceParse d = wl::loadDecodedTrace(p);
         EXPECT_FALSE(d.ok()) << tag;
         // A header-only read rejects the same bytes the same way.
@@ -258,8 +285,9 @@ TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
 
     // Absurd record count (the reserve-abort guard).
     std::string lie = image;
-    size_t at = lie.find("records = 300");
-    lie.replace(at, 13, "records = 99999999999999");
+    const std::string count = "records = " + std::to_string(mappedRecords);
+    size_t at = lie.find(count);
+    lie.replace(at, count.size(), "records = 99999999999999");
     EXPECT_NE(errOfFile("t6", lie).find("exceeds"), std::string::npos);
 
     fs::remove_all(dir);
@@ -270,7 +298,8 @@ TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
 TEST(DecodedTraceCache, MissThenHitSharesOneSnapshot)
 {
     std::string dir = scratchDir("cache_hit");
-    std::string path = writeSample(dir, 400);
+    std::string path = writeSample(dir, mappedRecords);
+    expectMapped(path); // a hit reads the trailer through the mapping.
 
     wl::DecodedTraceCache cache;
     auto a = cache.get(path);

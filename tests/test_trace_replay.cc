@@ -16,6 +16,8 @@
 
 #include <unistd.h>
 
+#include "common/fault.hh"
+#include "common/fnv.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "wl/emulator.hh"
@@ -114,6 +116,29 @@ TEST(TraceIo, RoundTripIsBitExact)
               recs.size() * wl::DecodedTrace::bytesPerRecord);
     // Serializing the decode reproduces the image byte for byte.
     EXPECT_EQ(wl::serializeTrace(t.header, recordsOf(t)), image);
+}
+
+TEST(TraceIo, OnDiskBytesArePinned)
+{
+    // A round trip cannot see a change made to the writer and the
+    // reader alike; these constants pin the bytes themselves. They
+    // change only with traceFormatVersion.
+    auto recs = sampleRecords(6);
+    std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
+    EXPECT_EQ(image.size(), 181u);
+    EXPECT_EQ(hex64(fnv1a64(image)), "e15bdd46d240149d");
+
+    std::string dir = scratchDir("pinned");
+    std::string path = dir + "/t.rtr";
+    std::string err;
+    ASSERT_TRUE(
+        wl::writeTraceFile(path, sampleHeader(recs.size()), recs, &err))
+        << err;
+    std::ifstream is(path, std::ios::binary);
+    std::string file((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(file, image);
+    fs::remove_all(dir);
 }
 
 TEST(TraceIo, FileRoundTripAndHeaderOnly)
@@ -414,8 +439,32 @@ TEST(TraceReplay, RetiredV1TraceIsFatalWithReRecordDiagnostic)
 
     sim::TraceIoOptions replay;
     replay.replayDir = dir;
+    // The cache's diagnostic comes through verbatim: one re-record
+    // hint, nothing appended after it.
     EXPECT_DEATH(sim::runPhase(cfg, "mcf", 0, replay),
-                 "version 1 is retired.*re-record");
+                 "version 1 is retired[^\n]*; re-record the trace with "
+                 "--record-trace \\[");
+    fs::remove_all(dir);
+}
+
+TEST(TraceReplay, InjectedReadErrorIsFatalWithoutReRecordHint)
+{
+    // An I/O error is not fixed by re-recording, so replay must not
+    // say so: the trace cache's trace.read diagnostic ends the line.
+    std::string dir = scratchDir("eio");
+    sim::SimConfig cfg = tinyConfig();
+    sim::TraceIoOptions record;
+    record.recordDir = dir;
+    sim::runPhase(cfg, "mcf", 0, record);
+
+    sim::TraceIoOptions replay;
+    replay.replayDir = dir;
+    std::string err;
+    ASSERT_TRUE(fault::armFromSpec("trace.read:fail=eio", &err)) << err;
+    EXPECT_DEATH(sim::runPhase(cfg, "mcf", 0, replay),
+                 "replay: [^\n]*: trace.read: injected Input/output "
+                 "error \\[");
+    fault::disarmAll();
     fs::remove_all(dir);
 }
 
