@@ -3,11 +3,14 @@
  * google-benchmark microbenchmarks of the hot hardware-model
  * structures: result-hash folding, FIFO history matching (the paper's
  * comparator-power concern, Section IV-B2), distance predictor
- * lookup/update, ISRB operations, cache tag access and TAGE lookup.
+ * lookup/update, ISRB operations, cache tag access and TAGE lookup —
+ * plus the served data path: the canonical stat dump of the Fig. 4
+ * matrix and the `.cell` record codec.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
 #include <optional>
 #include <string_view>
@@ -20,6 +23,10 @@
 #include "rsep/fifo_history.hh"
 #include "rsep/hash.hh"
 #include "rsep/isrb.hh"
+#include "sim/result_cache.hh"
+#include "sim/scenario.hh"
+#include "sim/stat_export.hh"
+#include "wl/suite.hh"
 
 namespace
 {
@@ -172,6 +179,136 @@ BM_TagePredictFolded(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TagePredictFolded);
+
+/**
+ * The paper's Fig. 4 matrix (29 workloads x 6 arms = 174 cells) at
+ * dump scale: one tiny simulated cell per arm gives each arm its real
+ * counter set, copied to every workload of the suite.
+ */
+struct Fig4Matrix
+{
+    std::vector<sim::SimConfig> configs;
+    std::vector<sim::MatrixRow> rows;
+    size_t cells = 0;
+};
+
+const Fig4Matrix &
+fig4Matrix()
+{
+    static const Fig4Matrix m = [] {
+        Fig4Matrix f;
+        for (const char *arm : {"baseline", "zero-pred", "move-elim", "rsep",
+                                "vpred", "rsep+vpred"}) {
+            sim::SimConfig cfg = sim::findScenario(arm)->config;
+            cfg.warmupInsts = 500;
+            cfg.measureInsts = 2000;
+            cfg.checkpoints = 1;
+            f.configs.push_back(cfg);
+        }
+        sim::MatrixOptions mo;
+        mo.jobs = 1;
+        mo.progress = false;
+        std::vector<sim::MatrixRow> one =
+            sim::runMatrix(f.configs, {"mcf"}, mo);
+        for (const std::string &bench : wl::suiteNames()) {
+            sim::MatrixRow row = one[0];
+            row.benchmark = bench;
+            f.rows.push_back(std::move(row));
+            f.cells += f.configs.size();
+        }
+        return f;
+    }();
+    return m;
+}
+
+/** Time each iteration of @p body over @p rows rows and report the
+ *  mean as ns per row. */
+template <class F>
+void
+timePerRow(benchmark::State &state, size_t rows, F &&body)
+{
+    double ns = 0;
+    for (auto _ : state) {
+        auto t0 = std::chrono::steady_clock::now();
+        body();
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    }
+    state.counters["ns_per_row"] =
+        ns / static_cast<double>(state.iterations() * rows);
+}
+
+void
+BM_CanonicalDump(benchmark::State &state)
+{
+    const Fig4Matrix &m = fig4Matrix();
+    timePerRow(state, m.cells, [&] {
+        std::string dump = sim::CsvStatSink{}.render(
+            sim::collectStatRows(m.configs, m.rows, false));
+        benchmark::DoNotOptimize(dump.data());
+    });
+}
+BENCHMARK(BM_CanonicalDump);
+
+/** The 174 cell records of the Fig. 4 matrix, with their keys. */
+struct Fig4Records
+{
+    std::vector<sim::CacheKey> keys;
+    std::vector<const sim::PhaseResult *> results;
+    std::vector<std::string> records;
+};
+
+const Fig4Records &
+fig4Records()
+{
+    static const Fig4Records r = [] {
+        const Fig4Matrix &m = fig4Matrix();
+        Fig4Records out;
+        for (const sim::MatrixRow &row : m.rows)
+            for (size_t c = 0; c < m.configs.size(); ++c) {
+                out.keys.push_back({row.benchmark,
+                                    sim::configHash(m.configs[c]), 0,
+                                    m.configs[c].seed});
+                out.results.push_back(&row.byConfig[c].phases[0]);
+                out.records.push_back(sim::ResultCache::serializeRecord(
+                    out.keys.back(), *out.results.back()));
+            }
+        return out;
+    }();
+    return r;
+}
+
+void
+BM_CellRecordSerialize(benchmark::State &state)
+{
+    const Fig4Records &r = fig4Records();
+    timePerRow(state, r.keys.size(), [&] {
+        for (size_t i = 0; i < r.keys.size(); ++i) {
+            std::string rec =
+                sim::ResultCache::serializeRecord(r.keys[i], *r.results[i]);
+            benchmark::DoNotOptimize(rec.data());
+        }
+    });
+}
+BENCHMARK(BM_CellRecordSerialize);
+
+void
+BM_CellRecordParse(benchmark::State &state)
+{
+    const Fig4Records &r = fig4Records();
+    timePerRow(state, r.keys.size(), [&] {
+        for (size_t i = 0; i < r.keys.size(); ++i) {
+            sim::PhaseResult pr;
+            std::string err =
+                sim::ResultCache::parseRecord(r.records[i], r.keys[i], pr);
+            if (!err.empty())
+                state.SkipWithError(err.c_str());
+            benchmark::DoNotOptimize(pr.ipc);
+        }
+    });
+}
+BENCHMARK(BM_CellRecordParse);
 
 } // namespace
 

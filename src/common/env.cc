@@ -1,6 +1,7 @@
 #include "common/env.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -23,9 +24,19 @@ trimmed(const std::string &s)
 }
 
 bool
-parseU64(const std::string &s, u64 &out)
+parseU64(std::string_view s, u64 &out)
 {
-    std::string t = trimmed(s);
+    // Plain decimal, what every dump and cache record holds, parses
+    // in place; anything else gets strtoull's grammar and verdict.
+    if (!s.empty() && s.size() < 20 && (s[0] != '0' || s.size() == 1)) {
+        u64 v = 0;
+        auto res = std::from_chars(s.data(), s.data() + s.size(), v);
+        if (res.ec == std::errc() && res.ptr == s.data() + s.size()) {
+            out = v;
+            return true;
+        }
+    }
+    std::string t = trimmed(std::string(s));
     if (t.empty() || t[0] == '-')
         return false;
     errno = 0;
@@ -35,6 +46,14 @@ parseU64(const std::string &s, u64 &out)
         return false;
     out = v;
     return true;
+}
+
+void
+appendU64(std::string &out, u64 v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
 }
 
 bool

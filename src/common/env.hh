@@ -9,6 +9,7 @@
 #define RSEP_COMMON_ENV_HH
 
 #include <string>
+#include <string_view>
 
 #include "common/types.hh"
 
@@ -23,7 +24,10 @@ std::string trimmed(const std::string &s);
 // other trailing garbage (or an empty string, or a negative value for
 // the unsigned parse) fails.
 
-bool parseU64(const std::string &s, u64 &out);
+bool parseU64(std::string_view s, u64 &out);
+/** The decimal spelling of @p v appended to @p out (what parseU64
+ *  reads back). */
+void appendU64(std::string &out, u64 v);
 /** Signed variant: an optional leading '-' then the parseU64 grammar. */
 bool parseS64(const std::string &s, s64 &out);
 /** parseU64 plus an optional k/M/G suffix (decimal powers of 1000:

@@ -31,19 +31,28 @@ fnv1a64(std::string_view s)
     return h;
 }
 
+/** Canonical 16-hex-digit spelling of a 64-bit value, appended to
+ *  @p out. */
+inline void
+appendHex64(std::string &out, u64 v)
+{
+    static constexpr char digits[] = "0123456789abcdef";
+    for (int shift = 60; shift >= 0; shift -= 4)
+        out += digits[(v >> shift) & 0xf];
+}
+
 /** Canonical 16-hex-digit spelling of a 64-bit value. */
 inline std::string
 hex64(u64 v)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    std::string out;
+    appendHex64(out, v);
+    return out;
 }
 
 /** Strict parse of a <= 16-digit lowercase hex string. */
 inline bool
-parseHex64(const std::string &s, u64 &out)
+parseHex64(std::string_view s, u64 &out)
 {
     if (s.empty() || s.size() > 16)
         return false;

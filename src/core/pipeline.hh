@@ -21,6 +21,7 @@
 #define RSEP_CORE_PIPELINE_HH
 
 #include <array>
+#include <concepts>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -157,11 +158,13 @@ struct PipelineStats
  * Stat-introspection hook: visit every PipelineStats counter as
  * `v(name, counter)`. The stat-export layer derives its table/CSV/JSON
  * columns from this enumeration (the commitGroupProducers histogram is
- * exported bucket-wise by that layer).
+ * exported bucket-wise by that layer). A const @p st visits const
+ * counters.
  */
-template <class V>
+template <class S, class V>
+    requires std::same_as<std::remove_const_t<S>, PipelineStats>
 void
-visitStats(PipelineStats &st, V &&v)
+visitStats(S &st, V &&v)
 {
     v("cycles", st.cycles);
     v("committed_insts", st.committedInsts);

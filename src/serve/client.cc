@@ -17,7 +17,6 @@
 #include <cstring>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -493,15 +492,13 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
     // Cross-check: our reconstruction must reproduce the server's
     // canonical dump byte for byte — the wire-level guarantee every
     // downstream export inherits.
-    std::vector<sim::StatRow> stat_rows =
-        sim::collectStatRows(configs, rows, false);
-    std::ostringstream os;
-    sim::CsvStatSink{}.write(os, stat_rows);
-    if (os.str() != done.dump)
+    std::string dump =
+        sim::CsvStatSink{}.render(sim::collectStatRows(configs, rows, false));
+    if (dump != done.dump)
         rsep_fatal("--connect: reconstructed dump diverges from the "
                    "server's reference (%zu vs %zu bytes) — "
                    "client/server build mismatch?",
-                   os.str().size(), done.dump.size());
+                   dump.size(), done.dump.size());
 
     if (opts.progress)
         std::fprintf(stderr,

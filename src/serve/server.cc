@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
-#include <sstream>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
@@ -657,11 +656,8 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
     // The canonical reference dump the client checks its reconstruction
     // against: same collector, same sink, no timings — byte-identical
     // to what a direct run of this request would export.
-    std::vector<sim::StatRow> stat_rows =
-        sim::collectStatRows(req->configs, req->rows, false);
-    std::ostringstream os;
-    sim::CsvStatSink{}.write(os, stat_rows);
-    done.dump = os.str();
+    done.dump = sim::CsvStatSink{}.render(
+        sim::collectStatRows(req->configs, req->rows, false));
 
     if (opts.progress)
         std::fprintf(stderr,

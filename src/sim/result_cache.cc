@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <filesystem>
-#include <sstream>
 
 #include "common/env.hh"
 #include "common/fnv.hh"
@@ -90,78 +89,139 @@ ResultCache::fileConfigHash(const std::string &filename)
     return hash;
 }
 
+namespace
+{
+
+/** "<k1><k2> = <v>\n" appended to @p out. */
+void
+appendField(std::string &out, std::string_view k1, std::string_view k2,
+            u64 v)
+{
+    out += k1;
+    out += k2;
+    out += " = ";
+    appendU64(out, v);
+    out += '\n';
+}
+
+/** Lines of a record, with std::getline's edges: a last line without
+ *  its '\n' is still a line; nothing after a final '\n' is. */
+struct LineCursor
+{
+    std::string_view text;
+    size_t pos = 0;
+
+    bool
+    next(std::string_view &line)
+    {
+        if (pos >= text.size())
+            return false;
+        size_t nl = text.find('\n', pos);
+        size_t end = nl == std::string_view::npos ? text.size() : nl;
+        line = text.substr(pos, end - pos);
+        pos = end + 1;
+        return true;
+    }
+};
+
+/** The value of a "<k1><k2> = <value>" line. */
+bool
+valueOf(std::string_view line, std::string_view k1, std::string_view k2,
+        std::string_view &v)
+{
+    size_t n = k1.size() + k2.size();
+    if (line.size() < n + 3 || line.substr(0, k1.size()) != k1 ||
+        line.substr(k1.size(), k2.size()) != k2 ||
+        line.substr(n, 3) != " = ")
+        return false;
+    v = line.substr(n + 3);
+    return true;
+}
+
+} // namespace
+
 std::string
 ResultCache::serializeRecord(const CacheKey &key, const PhaseResult &pr)
 {
-    std::ostringstream os;
-    os << "rsep-cell-cache " << resultCacheVersion << "\n";
-    os << "benchmark = " << key.benchmark << "\n";
-    os << "config_hash = " << key.configHash << "\n";
-    os << "phase = " << key.phase << "\n";
-    os << "seed = " << hex64(key.seed) << "\n";
+    std::string out;
+    out.reserve(2048);
+    out += "rsep-cell-cache ";
+    appendU64(out, resultCacheVersion);
+    out += "\nbenchmark = ";
+    out += key.benchmark;
+    out += "\nconfig_hash = ";
+    out += key.configHash;
+    out += '\n';
+    appendField(out, "phase", "", key.phase);
+    out += "seed = ";
+    appendHex64(out, key.seed);
     // The IPC is stored bit-exactly: a cache hit must reproduce the
     // dump of the run that filled the cache byte for byte.
-    os << "ipc_bits = " << hex64(std::bit_cast<u64>(pr.ipc)) << "\n";
-    os << "wall_micros = " << pr.wallMicros << "\n";
+    out += "\nipc_bits = ";
+    appendHex64(out, std::bit_cast<u64>(pr.ipc));
+    out += '\n';
+    appendField(out, "wall_micros", "", pr.wallMicros);
 
-    core::PipelineStats stats = pr.stats; // visitStats is non-const.
-    visitStats(stats, [&](const char *name, StatCounter &c) {
-        os << "stat " << name << " = " << c.value() << "\n";
+    visitStats(pr.stats, [&](const char *name, const StatCounter &c) {
+        appendField(out, "stat ", name, c.value());
     });
-    const StatHistogram &h = stats.commitGroupProducers;
-    os << "hist commit_group_producers " << h.buckets() << "\n";
-    for (size_t b = 0; b < h.buckets(); ++b)
-        os << "bucket " << b << " = " << h.bucket(b) << "\n";
+    const StatHistogram &h = pr.stats.commitGroupProducers;
+    out += "hist commit_group_producers ";
+    appendU64(out, h.buckets());
+    out += '\n';
+    for (size_t b = 0; b < h.buckets(); ++b) {
+        out += "bucket ";
+        appendU64(out, b);
+        out += " = ";
+        appendU64(out, h.bucket(b));
+        out += '\n';
+    }
     for (const auto &[name, value] : pr.engineStats)
-        os << "engine " << name << " = " << value << "\n";
-    return os.str();
+        appendField(out, "engine ", name, value);
+    return out;
 }
 
 std::string
-ResultCache::parseRecord(const std::string &text, const CacheKey &key,
+ResultCache::parseRecord(std::string_view text, const CacheKey &key,
                          PhaseResult &out)
 {
-    std::istringstream is(text);
-    std::string line;
+    LineCursor lines{text};
+    std::string_view line, v;
 
-    auto valueOf = [&](const std::string &l, const char *k,
-                       std::string &v) {
-        std::string prefix = std::string(k) + " = ";
-        if (l.rfind(prefix, 0) != 0)
-            return false;
-        v = l.substr(prefix.size());
-        return true;
+    auto header = [](std::string_view prefix, u64 n) {
+        std::string want(prefix);
+        appendU64(want, n);
+        return want;
     };
 
-    if (!std::getline(is, line) ||
-        line != "rsep-cell-cache " + std::to_string(resultCacheVersion))
+    if (!lines.next(line) ||
+        line != header("rsep-cell-cache ", resultCacheVersion))
         return "bad or unsupported record version";
 
     // Key echo: a record reached through the wrong filename (copied
     // caches, hash collisions) must not be served.
-    std::string v;
     u64 seed = 0;
-    if (!std::getline(is, line) || !valueOf(line, "benchmark", v) ||
+    if (!lines.next(line) || !valueOf(line, "benchmark", "", v) ||
         v != key.benchmark)
         return "benchmark echo mismatch";
-    if (!std::getline(is, line) || !valueOf(line, "config_hash", v) ||
+    if (!lines.next(line) || !valueOf(line, "config_hash", "", v) ||
         v != key.configHash)
         return "config-hash echo mismatch";
-    if (!std::getline(is, line) || !valueOf(line, "phase", v) ||
-        v != std::to_string(key.phase))
+    if (!lines.next(line) || !valueOf(line, "phase", "", v) ||
+        v != header("", key.phase))
         return "phase echo mismatch";
-    if (!std::getline(is, line) || !valueOf(line, "seed", v) ||
+    if (!lines.next(line) || !valueOf(line, "seed", "", v) ||
         !parseHex64(v, seed) || seed != key.seed)
         return "seed echo mismatch";
 
     PhaseResult pr;
     pr.fromCache = true;
     u64 bits = 0;
-    if (!std::getline(is, line) || !valueOf(line, "ipc_bits", v) ||
+    if (!lines.next(line) || !valueOf(line, "ipc_bits", "", v) ||
         !parseHex64(v, bits))
         return "bad ipc_bits";
     pr.ipc = std::bit_cast<double>(bits);
-    if (!std::getline(is, line) || !valueOf(line, "wall_micros", v) ||
+    if (!lines.next(line) || !valueOf(line, "wall_micros", "", v) ||
         !parseU64(v, pr.wallMicros))
         return "bad wall_micros";
 
@@ -172,14 +232,12 @@ ResultCache::parseRecord(const std::string &text, const CacheKey &key,
     visitStats(pr.stats, [&](const char *name, StatCounter &c) {
         if (!err.empty())
             return;
-        std::string sv;
-        if (!std::getline(is, line) ||
-            !valueOf(line, (std::string("stat ") + name).c_str(), sv)) {
+        if (!lines.next(line) || !valueOf(line, "stat ", name, v)) {
             err = std::string("missing counter '") + name + "'";
             return;
         }
         u64 val = 0;
-        if (!parseU64(sv, val)) {
+        if (!parseU64(v, val)) {
             err = std::string("bad value for counter '") + name + "'";
             return;
         }
@@ -190,27 +248,25 @@ ResultCache::parseRecord(const std::string &text, const CacheKey &key,
         return err;
 
     StatHistogram &h = pr.stats.commitGroupProducers;
-    if (!std::getline(is, line) ||
-        line != "hist commit_group_producers " +
-                    std::to_string(h.buckets()))
+    if (!lines.next(line) ||
+        line != header("hist commit_group_producers ", h.buckets()))
         return "histogram geometry mismatch";
     for (size_t b = 0; b < h.buckets(); ++b) {
-        std::string sv;
-        if (!std::getline(is, line) ||
-            !valueOf(line, ("bucket " + std::to_string(b)).c_str(), sv))
+        if (!lines.next(line) ||
+            !valueOf(line, "bucket ", header("", b), v))
             return "missing histogram bucket " + std::to_string(b);
         u64 val = 0;
-        if (!parseU64(sv, val))
+        if (!parseU64(v, val))
             return "bad histogram bucket " + std::to_string(b);
         if (val)
             h.sample(b, val);
     }
 
-    while (std::getline(is, line)) {
-        if (line.rfind("engine ", 0) != 0)
-            return "unexpected trailing line '" + line + "'";
+    while (lines.next(line)) {
+        if (line.substr(0, 7) != "engine ")
+            return "unexpected trailing line '" + std::string(line) + "'";
         size_t eq = line.rfind(" = ");
-        if (eq == std::string::npos || eq <= 7)
+        if (eq == std::string_view::npos || eq <= 7)
             return "malformed engine counter line";
         u64 val = 0;
         if (!parseU64(line.substr(eq + 3), val))
@@ -255,8 +311,8 @@ ResultCache::load(const CacheKey &key)
     size_t mark = text.rfind("checksum = ");
     if (mark == std::string_view::npos || text.back() != '\n')
         return quarantine("missing checksum");
-    std::string body(text.substr(0, mark));
-    std::string sum(text.substr(mark + 11, text.size() - mark - 12));
+    std::string_view body = text.substr(0, mark);
+    std::string_view sum = text.substr(mark + 11, text.size() - mark - 12);
     u64 want = 0;
     if (!parseHex64(sum, want) || fnv1a64(body) != want)
         return quarantine("checksum mismatch");
@@ -274,14 +330,17 @@ ResultCache::store(const CacheKey &key, const PhaseResult &pr)
 {
     if (!enabled())
         return false;
-    std::string body = serializeRecord(key, pr);
+    std::string record = serializeRecord(key, pr);
+    u64 sum = fnv1a64(record);
+    record += "checksum = ";
+    appendHex64(record, sum);
+    record += '\n';
     // "cache.write": errno and short modes fail the store (the cell
     // stays uncached); truncate *publishes* the torn record, silent
     // on-disk corruption the next load() must catch and quarantine.
     // "cache.rename" fails the publish step itself.
-    if (!publishFile(cellPath(key),
-                     body + "checksum = " + hex64(fnv1a64(body)) + "\n",
-                     "cache.write", "cache.rename", nullptr)) {
+    if (!publishFile(cellPath(key), record, "cache.write", "cache.rename",
+                     nullptr)) {
         ++nIoErrors;
         return false;
     }

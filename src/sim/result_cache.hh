@@ -27,6 +27,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/simulator.hh"
 
@@ -87,12 +88,13 @@ class ResultCache
      */
     static std::string fileConfigHash(const std::string &filename);
 
-    /** Serialize / parse one record body (exposed for tests). */
+    /** Serialize / parse one record body (exposed for tests): one
+     *  append pass and one pass over a view, no stream formatting. */
     static std::string serializeRecord(const CacheKey &key,
                                        const PhaseResult &pr);
     /** Empty error = success. A non-empty error means "invalid record"
      *  (the caller quarantines); parse never partially fills @p pr. */
-    static std::string parseRecord(const std::string &text,
+    static std::string parseRecord(std::string_view text,
                                    const CacheKey &key, PhaseResult &pr);
 
   private:

@@ -149,7 +149,15 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
     if (!trace_io.recordDir.empty()) {
         wl::RecordingTraceSource rec(emu);
         PhaseResult pr = runTimedPhase(cfg, rec, phase, sample_every);
-        rec.recordSlack(traceRecordSlack);
+        // Every arm of a matrix records the same file; topping up to a
+        // sizing-only length keeps its bytes independent of which arm
+        // finished last.
+        u64 want = cfg.warmupInsts + cfg.measureInsts + traceRecordSlack;
+        if (!rec.recordUpTo(want))
+            rsep_fatal("record-trace: %s phase %u consumed %zu records, "
+                       "more than the %llu a recording holds",
+                       bench_name.c_str(), phase, rec.records().size(),
+                       static_cast<unsigned long long>(want));
         wl::TraceHeader header;
         header.workload = bench_name;
         std::optional<wl::WorkloadSpec> spec =

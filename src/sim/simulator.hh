@@ -9,6 +9,7 @@
 #ifndef RSEP_SIM_SIMULATOR_HH
 #define RSEP_SIM_SIMULATOR_HH
 
+#include <concepts>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,9 +102,10 @@ struct RunTiming
 };
 
 /** Stat-introspection hook (mirrors visitStats on PipelineStats). */
-template <class V>
+template <class T, class V>
+    requires std::same_as<std::remove_const_t<T>, RunTiming>
 void
-visitStats(RunTiming &t, V &&v)
+visitStats(T &t, V &&v)
 {
     v("timing.wall_micros", t.wallMicros);
     v("timing.cells_run", t.cellsRun);

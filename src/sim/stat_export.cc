@@ -1,10 +1,11 @@
 #include "sim/stat_export.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
-#include <iomanip>
+#include <numeric>
 
+#include "common/env.hh"
 #include "sim/scenario.hh"
 
 namespace rsep::sim
@@ -13,60 +14,41 @@ namespace rsep::sim
 namespace
 {
 
-/** Sum every introspected pipeline counter plus histogram buckets and
- *  engine-local counters over the phases of one run. */
-std::vector<std::pair<std::string, u64>>
-flattenCounters(const RunResult &rr)
+constexpr u32 noSlot = ~u32{0};
+
+// --------------------------------------------------------- text output
+
+/** @p v as printf's "%.<precision>f" would spell it. */
+std::string
+fixedPoint(double v, int precision)
 {
-    std::vector<std::pair<std::string, u64>> out;
-    for (const PhaseResult &ph : rr.phases) {
-        core::PipelineStats stats = ph.stats; // visitStats is non-const.
-        size_t i = 0;
-        visitStats(stats, [&](const char *name, StatCounter &c) {
-            if (i == out.size())
-                out.emplace_back(name, 0);
-            out[i++].second += c.value();
-        });
-        const StatHistogram &h = stats.commitGroupProducers;
-        for (size_t b = 0; b < h.buckets(); ++b) {
-            std::string name =
-                "commit_group_producers_" + std::to_string(b);
-            if (i == out.size())
-                out.emplace_back(name, 0);
-            out[i++].second += h.bucket(b);
-        }
-        for (const auto &[name, value] : ph.engineStats) {
-            auto it = std::find_if(
-                out.begin() + static_cast<long>(i), out.end(),
-                [&](const auto &p) { return p.first == name; });
-            if (it == out.end())
-                out.emplace_back(name, value);
-            else
-                it->second += value;
-        }
-    }
-    return out;
+    char buf[384]; // DBL_MAX spells 309 integer digits.
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::fixed, precision);
+    return {buf, res.ptr};
 }
 
-std::string
-csvEscape(const std::string &s)
+void
+appendCsvField(std::string &out, std::string_view s)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
+    if (s.find_first_of(",\"\n") == std::string_view::npos) {
+        out += s;
+        return;
+    }
+    out += '"';
     for (char c : s) {
         if (c == '"')
             out += '"';
         out += c;
     }
     out += '"';
-    return out;
 }
 
-std::string
-jsonEscape(const std::string &s)
+void
+appendJsonString(std::string &out, std::string_view s)
 {
-    std::string out;
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
     for (char c : s) {
         switch (c) {
           case '"':
@@ -80,44 +62,227 @@ jsonEscape(const std::string &s)
             break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xf];
+                out += hex[c & 0xf];
             } else {
                 out += c;
             }
         }
     }
-    return out;
+    out += '"';
 }
 
-std::string
-fmtDouble(double v)
+/** @p s padded with spaces to @p width, left- or right-aligned. */
+void
+appendPadded(std::string &out, std::string_view s, size_t width, bool left)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
+    size_t pad = s.size() < width ? width - s.size() : 0;
+    if (!left)
+        out.append(pad, ' ');
+    out += s;
+    if (left)
+        out.append(pad, ' ');
+}
+
+// ------------------------------------------------------- column union
+
+/**
+ * The CSV column set of a row set: the union of the rows' counters in
+ * first-appearance order, each row contributing its present counters
+ * by name. Names are matched once per (schema, slot), never per row.
+ */
+struct ColumnUnion
+{
+    std::vector<const std::string *> names; ///< column -> name.
+    std::vector<const StatColumns *> schemas;
+    /** Per schema: column -> slot of that schema (noSlot if absent). */
+    std::vector<std::vector<u32>> slotByColumn;
+
+    explicit ColumnUnion(const std::vector<StatRow> &rows)
+    {
+        std::vector<std::vector<u32>> colOf; // per schema: slot -> column.
+        std::unordered_map<std::string_view, u32> index;
+        for (const StatRow &row : rows) {
+            if (!row.columns)
+                continue;
+            size_t k = schemaOf(row, colOf);
+            std::vector<u32> &map = colOf[k];
+            for (u32 s : row.columns->byName) {
+                if (!row.present[s] || map[s] != noSlot)
+                    continue;
+                const std::string &name = row.columns->names[s];
+                auto [it, fresh] = index.emplace(
+                    name, static_cast<u32>(names.size()));
+                if (fresh)
+                    names.push_back(&name);
+                map[s] = it->second;
+            }
+        }
+        for (size_t k = 0; k < schemas.size(); ++k) {
+            slotByColumn.emplace_back(names.size(), noSlot);
+            for (u32 s = 0; s < colOf[k].size(); ++s)
+                if (colOf[k][s] != noSlot &&
+                    slotByColumn[k][colOf[k][s]] == noSlot)
+                    slotByColumn[k][colOf[k][s]] = s;
+        }
+    }
+
+    /** Index of @p row's schema (rows share a handful of schemas). */
+    size_t
+    schemaOf(const StatRow &row, std::vector<std::vector<u32>> &colOf)
+    {
+        const StatColumns *cols = row.columns.get();
+        for (size_t k = schemas.size(); k-- > 0;)
+            if (schemas[k] == cols)
+                return k;
+        schemas.push_back(cols);
+        colOf.emplace_back(cols->size(), noSlot);
+        return schemas.size() - 1;
+    }
+
+    const std::vector<u32> &
+    slotsFor(const StatRow &row) const
+    {
+        size_t k = 0;
+        while (schemas[k] != row.columns.get())
+            ++k;
+        return slotByColumn[k];
+    }
+};
+
+// ------------------------------------------------------------- collect
+
+/** Name of histogram bucket @p b, in @p buf. */
+std::string_view
+bucketName(char (&buf)[48], size_t b)
+{
+    static constexpr std::string_view prefix = "commit_group_producers_";
+    std::copy(prefix.begin(), prefix.end(), buf);
+    auto res = std::to_chars(buf + prefix.size(), buf + sizeof(buf), b);
+    return {buf, static_cast<size_t>(res.ptr - buf)};
+}
+
+/** Sum every introspected pipeline counter, histogram bucket and
+ *  engine-local counter over the phases of one run (plus the timing
+ *  counters on request). Names repeat in one order across phases and
+ *  runs of a config, so each is found at its hinted slot. */
+void
+flattenRun(const RunResult &rr, bool include_timings,
+           StatColumnsBuilder &cols, StatRow &out)
+{
+    u32 next = 0;
+    auto add = [&](std::string_view name, u64 v) {
+        next = cols.slot(name, next);
+        out.add(next++, v);
+    };
+    for (const PhaseResult &ph : rr.phases) {
+        next = 0;
+        visitStats(ph.stats, [&](const char *name, const StatCounter &c) {
+            add(name, c.value());
+        });
+        const StatHistogram &h = ph.stats.commitGroupProducers;
+        char buf[48];
+        for (size_t b = 0; b < h.buckets(); ++b)
+            add(bucketName(buf, b), h.bucket(b));
+        for (const auto &[name, value] : ph.engineStats)
+            add(name, value);
+    }
+    if (!include_timings)
+        return;
+    visitStats(rr.timing, [&](const char *name, const StatCounter &c) {
+        add(name, c.value());
+    });
+    for (size_t p = 0; p < rr.phases.size(); ++p)
+        add("timing.phase" + std::to_string(p) + "_wall_micros",
+            rr.phases[p].wallMicros);
+}
+
+bool
+rowKeyLess(const StatRow &a, const StatRow &b)
+{
+    if (a.benchmark != b.benchmark)
+        return a.benchmark < b.benchmark;
+    if (a.scenario != b.scenario)
+        return a.scenario < b.scenario;
+    return a.configHash < b.configHash;
 }
 
 } // namespace
 
+// ------------------------------------------------------------- schema
+
+StatColumns::StatColumns(std::vector<std::string> slot_names)
+    : names(std::move(slot_names)), byName(names.size())
+{
+    std::iota(byName.begin(), byName.end(), 0u);
+    std::stable_sort(byName.begin(), byName.end(),
+                     [&](u32 a, u32 b) { return names[a] < names[b]; });
+}
+
+u32
+StatColumnsBuilder::slot(std::string_view name, u32 hint)
+{
+    if (hint < names.size() && names[hint] == name)
+        return hint;
+    std::string key(name);
+    auto [it, fresh] =
+        index.emplace(std::move(key), static_cast<u32>(names.size()));
+    if (fresh)
+        names.push_back(it->first);
+    return it->second;
+}
+
+std::shared_ptr<const StatColumns>
+StatColumnsBuilder::finish()
+{
+    index.clear();
+    return std::make_shared<const StatColumns>(std::move(names));
+}
+
+std::optional<u64>
+StatRow::counter(std::string_view name) const
+{
+    for (size_t s = 0; columns && s < columns->size(); ++s)
+        if (present[s] && columns->names[s] == name)
+            return values[s];
+    return std::nullopt;
+}
+
+void
+StatRow::setCounters(const std::vector<std::pair<std::string, u64>> &counters)
+{
+    StatColumnsBuilder b;
+    values.clear();
+    present.clear();
+    for (const auto &[name, value] : counters)
+        add(b.slot(name), value);
+    attach(b.finish());
+}
+
+void
+StatRow::add(u32 slot, u64 v)
+{
+    if (slot >= values.size()) {
+        values.resize(slot + 1, 0);
+        present.resize(slot + 1, false);
+    }
+    values[slot] += v;
+    present[slot] = true;
+}
+
+void
+StatRow::attach(std::shared_ptr<const StatColumns> schema)
+{
+    columns = std::move(schema);
+    values.resize(columns->size(), 0);
+    present.resize(columns->size(), false);
+}
+
 void
 canonicalizeStatRows(std::vector<StatRow> &rows)
 {
-    for (StatRow &row : rows)
-        std::sort(row.counters.begin(), row.counters.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-    std::sort(rows.begin(), rows.end(),
-              [](const StatRow &a, const StatRow &b) {
-                  if (a.benchmark != b.benchmark)
-                      return a.benchmark < b.benchmark;
-                  if (a.scenario != b.scenario)
-                      return a.scenario < b.scenario;
-                  return a.configHash < b.configHash;
-              });
+    std::stable_sort(rows.begin(), rows.end(), rowKeyLess);
 }
 
 std::vector<StatRow>
@@ -125,11 +290,12 @@ collectStatRows(const std::vector<SimConfig> &configs,
                 const std::vector<MatrixRow> &rows, bool include_timings)
 {
     std::vector<std::string> hashes;
-    hashes.reserve(configs.size());
     for (const SimConfig &cfg : configs)
         hashes.push_back(configHash(cfg));
 
+    std::vector<StatColumnsBuilder> builders(configs.size());
     std::vector<StatRow> out;
+    std::vector<size_t> config_of;
     for (const MatrixRow &mrow : rows) {
         for (size_t c = 0; c < mrow.byConfig.size() && c < configs.size();
              ++c) {
@@ -142,104 +308,128 @@ collectStatRows(const std::vector<SimConfig> &configs,
             row.configHash = hashes[c];
             row.checkpoints = rr.phases.size();
             row.ipcHmean = rr.ipcHmean();
-            row.counters = flattenCounters(rr);
-            if (include_timings) {
-                RunTiming timing = rr.timing; // visitStats is non-const.
-                visitStats(timing, [&](const char *name, StatCounter &c2) {
-                    row.counters.emplace_back(name, c2.value());
-                });
-                for (size_t p = 0; p < rr.phases.size(); ++p)
-                    row.counters.emplace_back(
-                        "timing.phase" + std::to_string(p) +
-                            "_wall_micros",
-                        rr.phases[p].wallMicros);
-            }
+            // Sized to the schema so far: later runs of a config rarely
+            // add a name.
+            row.values.assign(builders[c].size(), 0);
+            row.present.assign(builders[c].size(), false);
+            flattenRun(rr, include_timings, builders[c], row);
             out.push_back(std::move(row));
+            config_of.push_back(c);
         }
     }
+
+    std::vector<std::shared_ptr<const StatColumns>> schemas;
+    for (StatColumnsBuilder &b : builders)
+        schemas.push_back(b.finish());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i].attach(schemas[config_of[i]]);
     canonicalizeStatRows(out);
     return out;
 }
 
-void
-TableStatSink::write(std::ostream &os,
-                     const std::vector<StatRow> &rows) const
+// --------------------------------------------------------------- sinks
+
+std::string
+TableStatSink::render(const std::vector<StatRow> &rows) const
 {
-    os << std::left << std::setw(12) << "benchmark" << std::setw(22)
-       << "scenario" << std::setw(18) << "config-hash" << std::right
-       << std::setw(7) << "ckpts" << std::setw(9) << "ipc" << "\n";
+    std::string out;
+    appendPadded(out, "benchmark", 12, true);
+    appendPadded(out, "scenario", 22, true);
+    appendPadded(out, "config-hash", 18, true);
+    appendPadded(out, "ckpts", 7, false);
+    appendPadded(out, "ipc", 9, false);
+    out += '\n';
     for (const StatRow &row : rows) {
-        os << std::left << std::setw(12) << row.benchmark << std::setw(22)
-           << row.scenario << std::setw(18) << row.configHash
-           << std::right << std::setw(7) << row.checkpoints << std::setw(9)
-           << std::fixed << std::setprecision(3) << row.ipcHmean << "\n";
-        os.unsetf(std::ios::fixed);
-        for (const auto &[name, value] : row.counters) {
+        appendPadded(out, row.benchmark, 12, true);
+        appendPadded(out, row.scenario, 22, true);
+        appendPadded(out, row.configHash, 18, true);
+        appendPadded(out, std::to_string(row.checkpoints), 7, false);
+        appendPadded(out, fixedPoint(row.ipcHmean, 3), 9, false);
+        out += '\n';
+        row.forEachCounter([&](const std::string &name, u64 value) {
             if (enginesOnly && name.rfind("engine.", 0) != 0)
-                continue;
-            os << "    " << std::left << std::setw(40) << name
-               << std::right << std::setw(16) << value << "\n";
-        }
+                return;
+            out += "    ";
+            appendPadded(out, name, 40, true);
+            appendPadded(out, std::to_string(value), 16, false);
+            out += '\n';
+        });
     }
+    return out;
 }
 
-void
-CsvStatSink::write(std::ostream &os, const std::vector<StatRow> &rows) const
+std::string
+CsvStatSink::render(const std::vector<StatRow> &rows) const
 {
-    // Column union in first-appearance order: runs under different
-    // mechanism arms register different engines.
-    std::vector<std::string> columns;
-    for (const StatRow &row : rows)
-        for (const auto &[name, value] : row.counters) {
-            (void)value;
-            if (std::find(columns.begin(), columns.end(), name) ==
-                columns.end())
-                columns.push_back(name);
-        }
-
-    os << "benchmark,scenario,config_hash,checkpoints,ipc_hmean";
-    for (const std::string &col : columns)
-        os << "," << csvEscape(col);
-    os << "\n";
+    // Union columns: runs under different mechanism arms register
+    // different engines.
+    ColumnUnion cols(rows);
+    std::string out;
+    out.reserve((rows.size() + 1) * (48 + cols.names.size() * 8));
+    out += "benchmark,scenario,config_hash,checkpoints,ipc_hmean";
+    for (const std::string *name : cols.names) {
+        out += ',';
+        appendCsvField(out, *name);
+    }
+    out += '\n';
 
     for (const StatRow &row : rows) {
-        os << csvEscape(row.benchmark) << "," << csvEscape(row.scenario)
-           << "," << row.configHash << "," << row.checkpoints << ","
-           << fmtDouble(row.ipcHmean);
-        for (const std::string &col : columns) {
-            os << ",";
-            auto it = std::find_if(
-                row.counters.begin(), row.counters.end(),
-                [&](const auto &p) { return p.first == col; });
-            if (it != row.counters.end())
-                os << it->second;
+        appendCsvField(out, row.benchmark);
+        out += ',';
+        appendCsvField(out, row.scenario);
+        out += ',';
+        out += row.configHash;
+        out += ',';
+        appendU64(out, row.checkpoints);
+        out += ',';
+        out += fixedPoint(row.ipcHmean, 6);
+        if (!row.columns) {
+            out.append(cols.names.size(), ',');
+        } else {
+            for (u32 s : cols.slotsFor(row)) {
+                out += ',';
+                if (s != noSlot && row.present[s])
+                    appendU64(out, row.values[s]);
+            }
         }
-        os << "\n";
+        out += '\n';
     }
+    return out;
 }
 
-void
-JsonStatSink::write(std::ostream &os,
-                    const std::vector<StatRow> &rows) const
+std::string
+JsonStatSink::render(const std::vector<StatRow> &rows) const
 {
-    os << "[\n";
+    std::string out = "[\n";
     for (size_t r = 0; r < rows.size(); ++r) {
         const StatRow &row = rows[r];
-        os << "  {\"benchmark\": \"" << jsonEscape(row.benchmark)
-           << "\", \"scenario\": \"" << jsonEscape(row.scenario)
-           << "\", \"config_hash\": \"" << row.configHash
-           << "\", \"checkpoints\": " << row.checkpoints
-           << ", \"ipc_hmean\": " << fmtDouble(row.ipcHmean)
-           << ", \"counters\": {";
-        for (size_t i = 0; i < row.counters.size(); ++i) {
-            if (i)
-                os << ", ";
-            os << "\"" << jsonEscape(row.counters[i].first)
-               << "\": " << row.counters[i].second;
-        }
-        os << "}}" << (r + 1 < rows.size() ? "," : "") << "\n";
+        out += "  {\"benchmark\": ";
+        appendJsonString(out, row.benchmark);
+        out += ", \"scenario\": ";
+        appendJsonString(out, row.scenario);
+        out += ", \"config_hash\": \"";
+        out += row.configHash;
+        out += "\", \"checkpoints\": ";
+        appendU64(out, row.checkpoints);
+        out += ", \"ipc_hmean\": ";
+        out += fixedPoint(row.ipcHmean, 6);
+        out += ", \"counters\": {";
+        bool first = true;
+        row.forEachCounter([&](const std::string &name, u64 value) {
+            if (!first)
+                out += ", ";
+            first = false;
+            appendJsonString(out, name);
+            out += ": ";
+            appendU64(out, value);
+        });
+        out += "}}";
+        if (r + 1 < rows.size())
+            out += ',';
+        out += '\n';
     }
-    os << "]\n";
+    out += "]\n";
+    return out;
 }
 
 void

@@ -287,6 +287,9 @@ parseCsvDump(const std::string &text, const std::string &origin)
         }
     }
 
+    // The header is the dump's column schema; every row shares it.
+    auto columns = std::make_shared<const StatColumns>(
+        std::vector<std::string>(header.begin() + nFixed, header.end()));
     for (size_t r = 1; r < records.size(); ++r) {
         const std::vector<std::string> &rec = records[r];
         auto fail = [&](const std::string &msg) {
@@ -307,14 +310,14 @@ parseCsvDump(const std::string &text, const std::string &origin)
             return fail("bad checkpoints '" + rec[3] + "'");
         if (!parseDoubleStrict(rec[4], row.ipcHmean))
             return fail("bad ipc_hmean '" + rec[4] + "'");
+        row.attach(columns);
         for (size_t i = nFixed; i < rec.size(); ++i) {
             if (rec[i].empty())
                 continue; // this row does not carry the counter.
-            u64 v = 0;
-            if (!parseU64(rec[i], v))
+            if (!parseU64(rec[i], row.values[i - nFixed]))
                 return fail("bad value '" + rec[i] + "' for counter '" +
                             header[i] + "'");
-            row.counters.emplace_back(header[i], v);
+            row.present[i - nFixed] = true;
         }
         out.rows.push_back(std::move(row));
     }
@@ -326,6 +329,8 @@ parseJsonDump(const std::string &text, const std::string &origin)
 {
     DumpParse out;
     JsonCursor cur{text, 0, {}};
+    // One schema per dump, grown as counter names first appear.
+    StatColumnsBuilder columns;
 
     auto fail = [&](const std::string &msg) {
         out.error = origin + ": " + (msg.empty() ? cur.err : msg);
@@ -372,6 +377,7 @@ parseJsonDump(const std::string &text, const std::string &origin)
                         if (!cur.expect('{'))
                             return fail("");
                         if (!cur.consume('}')) {
+                            u32 next = 0;
                             do {
                                 std::string cname, tok;
                                 if (!cur.parseString(cname) ||
@@ -383,7 +389,8 @@ parseJsonDump(const std::string &text, const std::string &origin)
                                     return fail("bad value '" + tok +
                                                 "' for counter '" +
                                                 cname + "'");
-                                row.counters.emplace_back(cname, v);
+                                next = columns.slot(cname, next);
+                                row.add(next++, v);
                             } while (cur.consume(','));
                             if (!cur.expect('}'))
                                 return fail("");
@@ -407,6 +414,9 @@ parseJsonDump(const std::string &text, const std::string &origin)
     cur.skipWs();
     if (cur.pos != text.size())
         return fail("trailing garbage after the row array");
+    std::shared_ptr<const StatColumns> schema = columns.finish();
+    for (StatRow &row : out.rows)
+        row.attach(schema);
     return out;
 }
 
@@ -546,12 +556,11 @@ unknownTimingCounters(const std::vector<StatRow> &rows)
 {
     std::set<std::string> unknown;
     for (const StatRow &row : rows)
-        for (const auto &[name, value] : row.counters) {
-            (void)value;
+        row.forEachCounter([&](const std::string &name, u64) {
             if (name.rfind("timing.", 0) == 0 &&
                 !knownTimingCounter(name))
                 unknown.insert(name);
-        }
+        });
     return {unknown.begin(), unknown.end()};
 }
 

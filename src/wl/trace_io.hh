@@ -203,16 +203,22 @@ class RecordingTraceSource : public TraceSource
     const isa::Program &program() const override { return src.program(); }
 
     /**
-     * Pull @p n more records from the wrapped source into the buffer
-     * without handing them to the consumer — slack appended after the
-     * run so a replay under a config with a slightly deeper fetch
-     * lookahead does not exhaust the trace.
+     * Pull records from the wrapped source into the buffer, without
+     * handing them to the consumer, until it holds @p n — slack after
+     * the run so a replay under a config with a slightly deeper fetch
+     * lookahead does not exhaust the trace. A total fixed by the
+     * caller keeps the file independent of how far the recording
+     * config fetched ahead. False, and nothing pulled, when the
+     * consumer already took more than @p n.
      */
-    void
-    recordSlack(u64 n)
+    bool
+    recordUpTo(u64 n)
     {
-        for (u64 i = 0; i < n; ++i)
+        if (buffer.size() > n)
+            return false;
+        while (buffer.size() < n)
             buffer.push_back(src.step());
+        return true;
     }
 
     const std::vector<DynRecord> &records() const { return buffer; }

@@ -381,13 +381,7 @@ TEST(ResultCache, WarmMatrixSimulatesNothingAndMatchesCold)
     // With --timings the cache-hit counters surface in the dump.
     auto rows = collectStatRows(configs, warm, /*include_timings=*/true);
     ASSERT_FALSE(rows.empty());
-    bool saw_hits = false;
-    for (const auto &[name, value] : rows[0].counters)
-        if (name == "timing.cache_hits") {
-            saw_hits = true;
-            EXPECT_EQ(value, rows[0].checkpoints);
-        }
-    EXPECT_TRUE(saw_hits);
+    EXPECT_EQ(rows[0].counter("timing.cache_hits"), rows[0].checkpoints);
 }
 
 } // namespace

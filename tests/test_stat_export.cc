@@ -64,9 +64,8 @@ findRow(const std::vector<StatRow> &rows, const std::string &scenario)
 u64
 counterOf(const StatRow &row, const std::string &name)
 {
-    for (const auto &[n, v] : row.counters)
-        if (n == name)
-            return v;
+    if (std::optional<u64> v = row.counter(name))
+        return *v;
     ADD_FAILURE() << "no counter " << name;
     return 0;
 }
@@ -106,10 +105,9 @@ TEST(StatExport, PerEngineCountersSurface)
     counterOf(*rsep, "engine.move-elim.eliminated");
     // ...the baseline only the always-on zero-idiom engine.
     counterOf(*base, "engine.zero-idiom.eliminated");
-    for (const auto &[name, value] : base->counters) {
-        (void)value;
+    base->forEachCounter([](const std::string &name, u64) {
         EXPECT_EQ(name.find("engine.rsep."), std::string::npos) << name;
-    }
+    });
 }
 
 TEST(StatExport, CsvIsRectangularWithUnionColumns)
@@ -146,7 +144,7 @@ TEST(StatExport, CsvEscapesDelimiters)
     row.configHash = "0123456789abcdef";
     row.checkpoints = 1;
     row.ipcHmean = 1.0;
-    row.counters = {{"cycles", 1}};
+    row.setCounters({{"cycles", 1}});
     std::ostringstream os;
     CsvStatSink{}.write(os, {row});
     EXPECT_NE(os.str().find("\"we,ird\""), std::string::npos);

@@ -213,7 +213,7 @@ TEST(StatMerge, QuotedFieldsSurviveTheCsvRoundTrip)
     row.configHash = "0123456789abcdef";
     row.checkpoints = 1;
     row.ipcHmean = 1.25;
-    row.counters = {{"cycles", 7}, {"weird,counter", 3}};
+    row.setCounters({{"weird,counter", 3}, {"cycles", 7}});
     std::vector<StatRow> rows = {row};
     canonicalizeStatRows(rows);
     std::string text = emitCsv(rows);

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include <unistd.h>
 
@@ -224,7 +225,10 @@ TEST(TraceIo, RecordingSourceTeesAndSlack)
     for (int i = 0; i < 100; ++i)
         rec.step();
     EXPECT_EQ(rec.records().size(), 100u);
-    rec.recordSlack(40);
+    EXPECT_TRUE(rec.recordUpTo(140));
+    EXPECT_EQ(rec.records().size(), 140u);
+    // A consumer that already took more than the target is refused.
+    EXPECT_FALSE(rec.recordUpTo(120));
     EXPECT_EQ(rec.records().size(), 140u);
     // Slack continued the same architectural stream.
     wl::Emulator ref(w.program);
@@ -400,6 +404,53 @@ TEST(TraceReplay, RunMatrixRecordThenReplayIsIdentical)
         }
     }
     fs::remove_all(dir);
+}
+
+TEST(TraceReplay, RecordedBytesDependOnlyOnCellAndSizing)
+{
+    // Two arms of one sizing consume different record counts (a
+    // smaller window fetches less far ahead), and both write the same
+    // file. The recording must not depend on which arm wrote last: not
+    // on the arm itself, and not on the job count that orders the
+    // writers.
+    sim::SimConfig base = tinyConfig();
+    base.mech = sim::SimConfig::baseline().mech;
+    base.checkpoints = 1;
+    sim::SimConfig rsep = tinyConfig();
+    rsep.core.robSize = 64;
+    rsep.checkpoints = 1;
+    std::vector<std::string> benches = {"xalancbmk", "mcf"};
+
+    auto record = [&](const std::vector<sim::SimConfig> &configs,
+                      unsigned jobs, const std::string &tag) {
+        std::string dir = scratchDir(tag);
+        sim::MatrixOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        opts.traceIo.recordDir = dir;
+        sim::runMatrix(configs, benches, opts);
+        std::map<std::string, std::string> files;
+        for (const auto &e : fs::directory_iterator(dir)) {
+            std::ifstream in(e.path(), std::ios::binary);
+            files[e.path().filename().string()].assign(
+                std::istreambuf_iterator<char>(in), {});
+        }
+        fs::remove_all(dir);
+        return files;
+    };
+
+    auto serial = record({base, rsep}, 1, "rec_j1");
+    ASSERT_EQ(serial.size(), benches.size());
+    EXPECT_EQ(record({base, rsep}, 4, "rec_j4"), serial);
+    EXPECT_EQ(record({base}, 1, "rec_base"), serial);
+    EXPECT_EQ(record({rsep}, 1, "rec_rsep"), serial);
+
+    // The length is the sizing's, not the consumer's.
+    wl::DecodedTraceParse p =
+        wl::decodeTraceImage(serial.begin()->second, "rec");
+    ASSERT_TRUE(p.ok()) << p.error;
+    EXPECT_EQ(p.trace->header.records,
+              base.warmupInsts + base.measureInsts + 8192);
 }
 
 TEST(TraceReplay, MismatchedWorkloadHashIsRejected)

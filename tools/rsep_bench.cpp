@@ -280,7 +280,7 @@ timeWorkload(const sim::SimConfig &cfg, const std::string &name,
             1e6 / secsBetween(t0, t1);
     }
     // Slack so the replay's fetch lookahead cannot exhaust the stream.
-    rec.recordSlack(8192);
+    rec.recordUpTo(warmup + measure + 8192);
 
     wl::ReplayTraceSource src(memoryTrace(name, w, rec), w.program,
                               "<memory>");
@@ -323,7 +323,7 @@ timeSamplingOverhead(const sim::SimConfig &cfg, const std::string &name,
         core::Pipeline pipe(cfg.core, cfg.mech, rec, cfg.seed ^ 0x9e37);
         pipe.run(warmup + measure);
     }
-    rec.recordSlack(8192);
+    rec.recordUpTo(warmup + measure + 8192);
 
     std::shared_ptr<const wl::DecodedTrace> trace =
         memoryTrace(name, w, rec);
